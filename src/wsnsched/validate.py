@@ -4,17 +4,35 @@ This module re-derives every constraint family directly from the instance
 and its arc sets rather than reading them out of a built model, so model
 construction bugs and solver bugs cannot cancel each other out.  Binary
 rows are checked exactly; only the energy accounting row and the battery
-bounds use a small absolute tolerance.
+bounds use a small absolute tolerance, and a non-finite energy never
+passes them.
+
+:func:`check_feasibility` makes one pass over the solution's values.  It
+files each value under its kind, keyed by the bare index tuple, so the
+rows read plain tuple-keyed dicts instead of hashing ``VarRef`` objects.
+Membership in the universe is a predicate per kind over the same arc sets
+(coverage pairs, stream sources and arcs, demanded points, index ranges),
+and the universe's size is computed arithmetically from them: keys that
+all pass the predicate and are as many as the universe size are exactly
+the universe, so the universe itself is never built.  It is walked in
+order only when something is wrong, to name the first missing variable
+or to list fractional binaries (C13).  The stream rows visit only the
+nonzero stream variables, since a zero term adds an exact zero to any
+row sum; every other row keeps its loop and summation order, so reports
+are the same, value for value, as those of a checker that walks the
+full universe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .instance import ArcSets, EnergyTables, Instance, build_arcs
 from .model import VarRef
 
 ENERGY_TOL = 1e-6
+_BINARY = frozenset((0.0, 1.0))
 
 
 class SolutionIndexError(Exception):
@@ -35,7 +53,8 @@ class Violation:
     """One violated constraint row: ``lhs sense rhs`` does not hold.
 
     ``sense`` is ``<=``, ``>=``, ``=`` or ``bin`` (a binary variable took a
-    fractional value; ``lhs`` is that value).
+    fractional value; ``lhs`` is that value).  A NaN ``lhs`` has slack
+    ``-inf``, so every violation has negative slack.
     """
 
     tag: str
@@ -46,12 +65,14 @@ class Violation:
     @property
     def slack(self) -> float:
         if self.sense == "<=":
-            return self.rhs - self.lhs
-        if self.sense == ">=":
-            return self.lhs - self.rhs
-        if self.sense == "=":
-            return -abs(self.lhs - self.rhs)
-        return -min(abs(self.lhs), abs(self.lhs - 1.0))
+            slack = self.rhs - self.lhs
+        elif self.sense == ">=":
+            slack = self.lhs - self.rhs
+        elif self.sense == "=":
+            slack = -abs(self.lhs - self.rhs)
+        else:
+            slack = -min(abs(self.lhs), abs(self.lhs - 1.0))
+        return -math.inf if math.isnan(slack) else slack
 
     def to_json(self) -> dict:
         return {"tag": self.tag, "lhs": self.lhs, "sense": self.sense,
@@ -77,36 +98,97 @@ def _values_of(solution) -> dict:
     return solution.values
 
 
-def _required_variables(instance: Instance, arcs: ArcSets) -> list[VarRef]:
-    """The variable universe, re-derived here from the arc sets alone."""
-    n = len(instance.sensors)
-    T = instance.periods
-    G = len(instance.phenomena)
-    refs: list[VarRef] = []
-    for g in range(G):
-        for (i, j) in arcs.coverage[g]:
-            for t in range(T):
-                refs.append(VarRef("x", (i, j, t, g)))
-    for i in range(n):
-        for t in range(T):
-            refs.append(VarRef("y", (i, t)))
-            refs.append(VarRef("w", (i, t)))
-            for g in range(G):
-                refs.append(VarRef("r", (i, t, g)))
-        refs.append(VarRef("e", (i,)))
-    stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
-    for g in range(G):
-        for l in sorted({i for i, _ in arcs.coverage[g]}):
-            for (a, b) in stream_arcs:
-                if b == l:
-                    continue
+class _Universe:
+    """The variable universe of (instance, arcs) as membership predicates.
+
+    ``member[kind](indices)`` says whether a variable belongs to the
+    universe, ``size`` is how many variables it has, and :meth:`walk`
+    yields them as ``(kind, indices)`` in the order the checker reports
+    them.  Everything is re-derived here from the arc sets alone.
+    """
+
+    def __init__(self, instance: Instance, arcs: ArcSets):
+        n = len(instance.sensors)
+        T = instance.periods
+        G = len(instance.phenomena)
+        self.n, self.T, self.G = n, T, G
+        self.coverage = arcs.coverage
+        self.stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
+        self.sources = {g: sorted({i for i, _ in arcs.coverage[g]}) for g in range(G)}
+        self.demand = {g: instance.demand_indices(g) for g in range(G)}
+
+        sensors, periods, phenomena = range(n), range(T), range(G)
+        cover = {g: set(pairs) for g, pairs in enumerate(arcs.coverage)}
+        src = {g: set(ls) for g, ls in self.sources.items()}
+        stream = set(self.stream_arcs)
+        demand = {g: set(js) for g, js in self.demand.items()}
+
+        def active(k):  # y and w: (i, t)
+            return len(k) == 2 and k[0] in sensors and k[1] in periods
+
+        self.member = {
+            "x": lambda k: (len(k) == 4 and (k[0], k[1]) in cover.get(k[3], ())
+                            and k[2] in periods),
+            "y": active,
+            "z": lambda k: (len(k) == 5 and k[0] in src.get(k[4], ())
+                            and (k[1], k[2]) in stream and k[2] != k[0]
+                            and k[3] in periods),
+            "w": active,
+            "r": lambda k: (len(k) == 3 and k[0] in sensors and k[1] in periods
+                            and k[2] in phenomena),
+            "h": lambda k: len(k) == 3 and k[0] in demand.get(k[2], ()) and k[1] in periods,
+            "e": lambda k: len(k) == 1 and k[0] in sensors,
+        }
+        # A stream of source l runs on every stream arc except those into l.
+        into: dict[int, int] = {}
+        for _, b in arcs.comm:
+            into[b] = into.get(b, 0) + 1
+        streams = sum(len(self.stream_arcs) - into.get(l, 0)
+                      for ls in self.sources.values() for l in ls)
+        self.size = (T * sum(len(pairs) for pairs in arcs.coverage)
+                     + n * (T * (2 + G) + 1)
+                     + T * streams
+                     + T * sum(len(js) for js in self.demand.values()))
+
+    def walk(self):
+        n, T, G = self.n, self.T, self.G
+        for g in range(G):
+            for (i, j) in self.coverage[g]:
                 for t in range(T):
-                    refs.append(VarRef("z", (l, a, b, t, g)))
-    for g in range(G):
-        for j in instance.demand_indices(g):
+                    yield "x", (i, j, t, g)
+        for i in range(n):
             for t in range(T):
-                refs.append(VarRef("h", (j, t, g)))
-    return refs
+                yield "y", (i, t)
+                yield "w", (i, t)
+                for g in range(G):
+                    yield "r", (i, t, g)
+            yield "e", (i,)
+        for g in range(G):
+            for l in self.sources[g]:
+                for (a, b) in self.stream_arcs:
+                    if b == l:
+                        continue
+                    for t in range(T):
+                        yield "z", (l, a, b, t, g)
+        for g in range(G):
+            for j in self.demand[g]:
+                for t in range(T):
+                    yield "h", (j, t, g)
+
+    def index_error(self, values) -> SolutionIndexError:
+        """The error naming the first missing, else first foreign, variable."""
+        for kind, idx in self.walk():
+            ref = VarRef(kind, idx)
+            if ref not in values:
+                return SolutionIndexError(f"solution is missing variable {ref.name}")
+        for ref in values:
+            member = self.member.get(ref.kind)
+            if member is None:
+                return SolutionIndexError(
+                    f"solution has foreign variable of unknown kind {ref.kind!r}")
+            if not member(ref.indices):
+                return SolutionIndexError(f"solution has foreign variable {ref.name}")
+        raise AssertionError("unreachable: the variables match the universe")
 
 
 def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Violation]:
@@ -117,26 +199,29 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     variable is an indexing bug, not an infeasibility).
     """
     values = _values_of(solution)
-    required = _required_variables(instance, arcs)
-    required_set = set(required)
-    for ref in required:
-        if ref not in values:
-            raise SolutionIndexError(f"solution is missing variable {ref.name}")
-    for ref in values:
-        if ref not in required_set:
-            raise SolutionIndexError(f"solution has foreign variable {ref.name}")
+    universe = _Universe(instance, arcs)
+    parts: dict[str, dict[tuple, float]] = {kind: {} for kind in universe.member}
+    try:
+        for ref, val in values.items():
+            parts[ref.kind][ref.indices] = val
+    except KeyError:
+        raise universe.index_error(values) from None
+    # Distinct members of the universe, as many as it has: exactly the universe.
+    if len(values) != universe.size or not all(
+            all(map(universe.member[kind], part)) for kind, part in parts.items()):
+        raise universe.index_error(values)
+    X, Y, Z, W, R, H, E = (parts[kind] for kind in "xyzwrhe")
 
-    n = len(instance.sensors)
-    T = instance.periods
-    G = len(instance.phenomena)
+    n, T, G = universe.n, universe.T, universe.G
     tables = EnergyTables(instance, arcs)
-    v = values.__getitem__
     out: list[Violation] = []
 
     # C13: binaries take values in {0, 1}.
-    for ref in required:
-        if ref.kind != "e" and v(ref) not in (0.0, 1.0):
-            out.append(Violation(f"C13_{ref.name}", float(v(ref)), "bin", 0.0))
+    if any(not set(part.values()) <= _BINARY for kind, part in parts.items() if kind != "e"):
+        for kind, idx in universe.walk():
+            val = parts[kind][idx]
+            if kind != "e" and val not in _BINARY:
+                out.append(Violation(f"C13_{VarRef(kind, idx).name}", float(val), "bin", 0.0))
 
     cover_of: dict[tuple[int, int], list[int]] = {}
     for g in range(G):
@@ -145,10 +230,10 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
 
     # C2: demanded coverage or penalty.
     for g in range(G):
-        for j in instance.demand_indices(g):
+        for j in universe.demand[g]:
             for t in range(T):
-                lhs = sum(v(VarRef("x", (i, j, t, g))) for i in cover_of.get((j, g), []))
-                lhs += v(VarRef("h", (j, t, g)))
+                lhs = sum(X[i, j, t, g] for i in cover_of.get((j, g), []))
+                lhs += H[j, t, g]
                 if not lhs >= 1.0:
                     out.append(Violation(f"C2_j{j}_t{t}_g{g}", lhs, ">=", 1.0))
 
@@ -156,7 +241,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for g in range(G):
         for (i, j) in arcs.coverage[g]:
             for t in range(T):
-                lhs = v(VarRef("x", (i, j, t, g))) - v(VarRef("r", (i, t, g)))
+                lhs = X[i, j, t, g] - R[i, t, g]
                 if not lhs <= 0.0:
                     out.append(Violation(f"C3_i{i}_j{j}_t{t}_g{g}", lhs, "<=", 0.0))
 
@@ -164,34 +249,43 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for i in range(n):
         for t in range(T):
             for g in range(G):
-                lhs = v(VarRef("r", (i, t, g))) - v(VarRef("y", (i, t)))
+                lhs = R[i, t, g] - Y[i, t]
                 if not lhs <= 0.0:
                     out.append(Violation(f"C4_i{i}_t{t}_g{g}", lhs, "<=", 0.0))
 
-    stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
+    stream_arcs = universe.stream_arcs
+    arc_pos = {arc: p for p, arc in enumerate(stream_arcs)}
     in_s: dict[int, list[tuple[int, int]]] = {j: [] for j in range(n)}
     out_all: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
     for (a, b) in arcs.comm:
         in_s[b].append((a, b))
     for (a, b) in stream_arcs:
         out_all[a].append((a, b))
-    sources = {g: sorted({i for i, _ in arcs.coverage[g]}) for g in range(G)}
+    sources = universe.sources
+
+    # The stream rows C5 and C7-C9 visit only nonzero z, in (g, l, arc, t)
+    # order: with the instance's finite energy constants, a zero z adds an
+    # exact zero to every sum it appears in.
+    def z_order(k):
+        return k[4], k[0], arc_pos[k[1], k[2]], k[3]
+
+    flows = sorted((k for k, val in Z.items() if val), key=z_order)
 
     # C5: stream conservation at non-source sensors (sinks absorb).
-    for g in range(G):
-        for l in sources[g]:
-            for t in range(T):
-                for j in range(n):
-                    if j == l:
-                        continue
-                    terms = [(a, b) for (a, b) in in_s[j]]
-                    outs = [(a, b) for (a, b) in out_all[j] if b != l]
-                    if not terms and not outs:
-                        continue
-                    lhs = sum(v(VarRef("z", (l, a, b, t, g))) for (a, b) in terms)
-                    lhs -= sum(v(VarRef("z", (l, a, b, t, g))) for (a, b) in outs)
-                    if lhs != 0.0:
-                        out.append(Violation(f"C5_l{l}_j{j}_t{t}_g{g}", lhs, "=", 0.0))
+    touched: dict[tuple[int, int, int], set[int]] = {}
+    for (l, a, b, t, g) in flows:
+        nodes = touched.setdefault((g, l, t), set())
+        nodes.add(a)
+        if b < n:
+            nodes.add(b)
+    for (g, l, t) in sorted(touched):
+        for j in sorted(touched[g, l, t]):
+            if j == l:
+                continue
+            lhs = sum(Z[l, a, b, t, g] for (a, b) in in_s[j])
+            lhs -= sum(Z[l, a, b, t, g] for (a, b) in out_all[j] if b != l)
+            if lhs != 0.0:
+                out.append(Violation(f"C5_l{l}_j{j}_t{t}_g{g}", lhs, "=", 0.0))
 
     # C6: stream leaves its source iff the source senses.
     for g in range(G):
@@ -200,66 +294,59 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
             for t in range(T):
                 lhs = 0.0
                 if l in src:
-                    lhs = sum(v(VarRef("z", (l, a, b, t, g)))
-                              for (a, b) in out_all[l] if b != l)
-                lhs -= v(VarRef("r", (l, t, g)))
+                    lhs = sum(Z[l, a, b, t, g] for (a, b) in out_all[l] if b != l)
+                lhs -= R[l, t, g]
                 if lhs != 0.0:
                     out.append(Violation(f"C6_l{l}_t{t}_g{g}", lhs, "=", 0.0))
 
-    # C7/C8: carrying arcs need active endpoints.
-    for g in range(G):
-        for l in sources[g]:
-            for (a, b) in stream_arcs:
-                if b == l:
-                    continue
-                for t in range(T):
-                    zv = v(VarRef("z", (l, a, b, t, g)))
-                    if zv - v(VarRef("y", (a, t))) > 0.0:
-                        out.append(Violation(
-                            f"C7_l{l}_i{a}_j{b}_t{t}_g{g}",
-                            zv - v(VarRef("y", (a, t))), "<=", 0.0))
-                    if b < n and zv - v(VarRef("y", (b, t))) > 0.0:
-                        out.append(Violation(
-                            f"C8_l{l}_i{a}_j{b}_t{t}_g{g}",
-                            zv - v(VarRef("y", (b, t))), "<=", 0.0))
+    # C7/C8: carrying arcs need active endpoints.  A zero z can break them
+    # only against a negative activity value, so then every z is visited.
+    carriers = sorted(Z, key=z_order) if any(yv < 0 for yv in Y.values()) else flows
+    for (l, a, b, t, g) in carriers:
+        zv = Z[l, a, b, t, g]
+        if zv - Y[a, t] > 0.0:
+            out.append(Violation(f"C7_l{l}_i{a}_j{b}_t{t}_g{g}", zv - Y[a, t], "<=", 0.0))
+        if b < n and zv - Y[b, t] > 0.0:
+            out.append(Violation(f"C8_l{l}_i{a}_j{b}_t{t}_g{g}", zv - Y[b, t], "<=", 0.0))
 
-    # C9: drawn energy covers maintenance, activation and traffic.
+    # C9: drawn energy covers maintenance, activation and traffic.  Terms of
+    # one (sensor, period, phenomenon) are summed in (arc, source) order.
+    received: dict[tuple[int, int, int], list] = {}
+    sent: dict[tuple[int, int, int], list] = {}
+    for (l, a, b, t, g) in flows:
+        term = (arc_pos[a, b], l, Z[l, a, b, t, g])
+        if b < n:
+            received.setdefault((b, t, g), []).append(term)
+        sent.setdefault((a, t, g), []).append(term)
     for i in range(n):
         lhs = 0.0
         for t in range(T):
-            lhs += tables.em * v(VarRef("y", (i, t)))
-            lhs += tables.ea * v(VarRef("w", (i, t)))
+            lhs += tables.em * Y[i, t]
+            lhs += tables.ea * W[i, t]
             for g in range(G):
-                for (a, b) in in_s[i]:
-                    for l in sources[g]:
-                        if l == i:
-                            continue
-                        lhs += tables.er[g] * v(VarRef("z", (l, a, b, t, g)))
-                for (a, b) in out_all[i]:
-                    for l in sources[g]:
-                        if l == b:
-                            continue
-                        lhs += tables.et[(a, b)][g] * v(VarRef("z", (l, a, b, t, g)))
-        lhs -= v(VarRef("e", (i,)))
-        if lhs > ENERGY_TOL:
+                for _, _, zv in sorted(received.get((i, t, g), ())):
+                    lhs += tables.er[g] * zv
+                for p, _, zv in sorted(sent.get((i, t, g), ())):
+                    lhs += tables.et[stream_arcs[p]][g] * zv
+        lhs -= E[i,]
+        if not lhs <= ENERGY_TOL:  # also flags a NaN energy
             out.append(Violation(f"C9_i{i}", lhs, "<=", 0.0))
 
     # C10: battery bounds.
     for i in range(n):
-        ei = v(VarRef("e", (i,)))
+        ei = E[i,]
         if ei < -ENERGY_TOL:
             out.append(Violation(f"C10_i{i}", ei, ">=", 0.0))
-        elif ei > tables.eb + ENERGY_TOL:
+        elif not ei <= tables.eb + ENERGY_TOL:  # also flags a NaN energy
             out.append(Violation(f"C10_i{i}", ei, "<=", tables.eb))
 
     # C11/C12: off-to-on transitions are counted.
     for i in range(n):
-        lhs = v(VarRef("w", (i, 0))) - v(VarRef("y", (i, 0)))
+        lhs = W[i, 0] - Y[i, 0]
         if not lhs >= 0.0:
             out.append(Violation(f"C11_i{i}", lhs, ">=", 0.0))
         for t in range(1, T):
-            lhs = (v(VarRef("w", (i, t))) - v(VarRef("y", (i, t)))
-                   + v(VarRef("y", (i, t - 1))))
+            lhs = W[i, t] - Y[i, t] + Y[i, t - 1]
             if not lhs >= 0.0:
                 out.append(Violation(f"C12_i{i}_t{t}", lhs, ">=", 0.0))
 

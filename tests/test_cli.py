@@ -185,6 +185,26 @@ def test_validate_external_format(tmp_path, capsys):
     assert "feasible" in capsys.readouterr().out
 
 
+def test_validate_external_nan_energy_is_infeasible(tmp_path, capsys):
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst_path), "--method", "exact",
+                 "--out", str(sol_path)]) == 0
+    inst = w.load_instance(inst_path)
+    solution = w.load_solution(sol_path, inst)
+    lines = [f"{ref.name} = {val}" for ref, val in solution.values.items()
+             if val and ref.name != "e_i0"]
+    ext_path = tmp_path / "ext.sol"
+    ext_path.write_text("\n".join(lines + ["e_i0 = nan"]) + "\n")
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path),
+               "--solution", str(ext_path), "--external"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "infeasible" in captured.out and "C9_i0" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_render_out_of_range_exits_2(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     sol_path = tmp_path / "sol.json"

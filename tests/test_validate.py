@@ -62,6 +62,58 @@ def test_index_mismatch_is_not_a_violation():
     foreign[w.VarRef("y", (99, 0))] = 0.0
     with pytest.raises(SolutionIndexError):
         w.check_feasibility(inst, arcs, foreign)
+    # Same count, one missing and one foreign: the missing one is named.
+    swapped = dict(missing)
+    swapped[w.VarRef("y", (99, 0))] = 0.0
+    assert len(swapped) == len(values)
+    with pytest.raises(SolutionIndexError, match="missing variable y_i0_t0$"):
+        w.check_feasibility(inst, arcs, swapped)
+
+
+def two_phenomena_instance():
+    """Sources differ by phenomenon, and one point demands only g = 0.
+
+    Point 0 lies in sensor 0's g = 0 range only and demands only g = 0;
+    point 1 lies in sensor 1's range for both.  So sources are {0, 1} for
+    g = 0 and {1} for g = 1, and the arc 1 -> 0 leads into a source.
+    """
+    return make_instance(
+        sensors=[(1.0, 5.0), (4.0, 5.0)],
+        demand_points=[((1.0, 6.5), (0,)), (4.0, 5.5)],
+        sinks=[(7.0, 5.0)], radii=(2.0, 1.0), comm_radius=3.0)
+
+
+@pytest.mark.parametrize("kind, indices", [
+    pytest.param("z", (0, 1, 0, 0, 0), id="z-arc-into-own-source"),
+    pytest.param("z", (0, 0, 1, 0, 1), id="z-source-of-other-g"),
+    pytest.param("x", (0, 1, 0, 0), id="x-not-a-coverage-pair"),
+    pytest.param("x", (0, 0, 0, 1), id="x-coverage-pair-of-other-g"),
+    pytest.param("h", (0, 0, 1), id="h-point-not-demanding-g"),
+    pytest.param("y", (0, 1), id="y-t-equals-T"),
+    pytest.param("z", (1, 1, 2, 1, 0), id="z-t-equals-T"),
+    pytest.param("r", (0, 0, 2), id="r-g-equals-G"),
+    pytest.param("e", (2,), id="e-sink-is-not-a-sensor"),
+    pytest.param("y", (0,), id="y-short-arity"),
+    pytest.param("e", (0, 0), id="e-long-arity"),
+    pytest.param("q", (0, 0), id="unknown-kind"),
+])
+def test_foreign_key_is_rejected(kind, indices):
+    inst = two_phenomena_instance()
+    arcs = w.build_arcs(inst)
+    assert (0, 0) in arcs.coverage[0] and (0, 0) not in arcs.coverage[1]
+    assert (1, 0) in arcs.comm and inst.demand_points[0].demands == (0,)
+    values = zero_values(inst, arcs)
+    foreign_ref = w.VarRef(kind, indices)
+    assert foreign_ref not in values
+    added = dict(values)
+    added[foreign_ref] = 0.0
+    with pytest.raises(SolutionIndexError, match="foreign variable"):
+        w.check_feasibility(inst, arcs, added)
+    # With the count unchanged, only the membership test can catch it.
+    swapped = dict(added)
+    del swapped[w.VarRef("e", (1,))]
+    with pytest.raises(SolutionIndexError, match="missing variable e_i1$"):
+        w.check_feasibility(inst, arcs, swapped)
 
 
 def violated_families(inst, arcs, values):
@@ -179,6 +231,22 @@ def test_energy_tolerances():
     above_cap = dict(base)
     above_cap[e0] = inst.device.battery_capacity + 1e-5
     assert violated_families(inst, arcs, above_cap) == {"C10"}
+
+
+def test_non_finite_energy_is_a_violation():
+    inst = trivial_instance()
+    arcs = w.build_arcs(inst)
+    solution, _ = w.solve_exact(inst, arcs)
+    values = dict(solution.values)
+    values[w.VarRef("e", (0,))] = float("nan")
+    vios = w.check_feasibility(inst, arcs, values)
+    assert {vio.tag for vio in vios} == {"C9_i0", "C10_i0"}
+    assert all(vio.slack < 0 for vio in vios)
+    with pytest.raises(InfeasibleSolutionError):
+        w.evaluate(inst, values, arcs)
+    for bad in (float("inf"), float("-inf")):
+        values[w.VarRef("e", (0,))] = bad
+        assert violated_families(inst, arcs, values) & {"C9", "C10"}
 
 
 def test_uncovered_rate_fraction():
