@@ -4,7 +4,9 @@ The dialect is the classic CPLEX LP text format restricted to what the
 models need: a ``Minimize`` section, labelled constraints, a ``Bounds``
 section for the continuous energy variables and a ``Binaries`` section.
 Export is deterministic and numbers are written with ``repr`` precision,
-so export -> parse -> export reproduces the file byte for byte.
+so export -> parse -> export reproduces the file byte for byte.  Import
+rejects a literal that overflows to infinity, since export could not
+write it back.
 """
 
 from __future__ import annotations
@@ -140,11 +142,22 @@ def _is_number(text: str) -> bool:
     return text[0].isdigit() or text[0] == "."
 
 
+def _number(tok: _Token) -> float:
+    """The token's value; a literal that overflows could not be written back."""
+    value = float(tok.text)
+    if math.isinf(value):
+        raise LpParseError(f"number {tok.text} is out of range", tok.line, tok.col)
+    return value
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int):
+    def __init__(self, tokens: list[_Token], end_line: int, end_col: int = 1,
+                 end_what: str = "input"):
         self.tokens = tokens
         self.pos = 0
         self.end_line = end_line
+        self.end_col = end_col
+        self.end_what = end_what
 
     def peek(self, ahead: int = 0) -> _Token | None:
         k = self.pos + ahead
@@ -153,14 +166,14 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise LpParseError("unexpected end of input", self.end_line, 1)
+            raise LpParseError(f"unexpected end of {self.end_what}", self.end_line, self.end_col)
         self.pos += 1
         return tok
 
     def error(self, message: str) -> LpParseError:
         tok = self.peek()
         if tok is None:
-            return LpParseError(message, self.end_line, 1)
+            return LpParseError(message, self.end_line, self.end_col)
         return LpParseError(message, tok.line, tok.col)
 
     def parse_signed_number(self) -> float:
@@ -172,7 +185,7 @@ class _Parser:
             tok = self.next()
         if not _is_number(tok.text):
             raise LpParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-        return sign * float(tok.text)
+        return sign * _number(tok)
 
     def parse_expression(self) -> list[tuple[VarRef, float]]:
         """Terms up to (not consuming) a sense token or end of tokens."""
@@ -193,7 +206,7 @@ class _Parser:
             elif _is_number(tok.text):
                 if coef is not None:
                     raise LpParseError("two coefficients in a row", tok.line, tok.col)
-                coef = float(tok.text)
+                coef = _number(tok)
                 coef_tok = tok
             elif tok.text == ":":
                 raise LpParseError("unexpected ':'", tok.line, tok.col)
@@ -298,7 +311,9 @@ def parse_lp(text: str) -> IlpModel:
     for tok in toks:
         by_line.setdefault(tok.line, []).append(tok)
     for lineno in sorted(by_line):
-        p = _Parser(by_line[lineno], end_line)
+        # One bound per line: running out of tokens ends the line, not the file.
+        last = by_line[lineno][-1]
+        p = _Parser(by_line[lineno], lineno, last.col + len(last.text), "line")
         first = p.peek()
         if _is_number(first.text) or first.text in ("+", "-"):
             lo = p.parse_signed_number()

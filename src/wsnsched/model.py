@@ -39,6 +39,7 @@ and never on an arc pointing back into l.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +57,16 @@ _KIND_FIELDS = {
     "e": "i",
 }
 
+# Per kind: the name template, and the pattern of canonical names (ASCII
+# digits without leading zeros), so that a name denotes one variable.
+_NAME_FORMATS = {
+    kind: kind + "".join(f"_{f}%s" for f in fields) for kind, fields in _KIND_FIELDS.items()
+}
+_NAME_PATTERNS = {
+    kind: re.compile(kind + "".join(f"_{f}(0|[1-9][0-9]*)" for f in fields))
+    for kind, fields in _KIND_FIELDS.items()
+}
+
 
 @dataclass(frozen=True)
 class VarRef:
@@ -66,27 +77,27 @@ class VarRef:
 
     @property
     def name(self) -> str:
-        fields = _KIND_FIELDS[self.kind]
-        parts = "".join(f"_{f}{v}" for f, v in zip(fields, self.indices))
-        return f"{self.kind}{parts}"
+        try:
+            return _NAME_FORMATS[self.kind] % self.indices
+        except TypeError:  # wrong arity: name the fields there are
+            fields = _KIND_FIELDS[self.kind]
+            return self.kind + "".join(f"_{f}{v}" for f, v in zip(fields, self.indices))
 
     def sort_key(self):
         return (KIND_ORDER.index(self.kind), self.indices)
 
 
 def parse_var_name(name: str) -> VarRef:
-    """Inverse of :attr:`VarRef.name`; raises ValueError on malformed names."""
-    parts = name.split("_")
-    kind = parts[0]
-    fields = _KIND_FIELDS.get(kind)
-    if fields is None or len(parts) != len(fields) + 1:
+    """Inverse of :attr:`VarRef.name`; raises ValueError on malformed names.
+
+    Only the canonical spelling is accepted (ASCII digits, no leading
+    zeros), so two different names never denote the same variable.
+    """
+    pattern = _NAME_PATTERNS.get(name[:1])
+    match = pattern.fullmatch(name) if pattern is not None else None
+    if match is None:
         raise ValueError(f"malformed variable name {name!r}")
-    indices = []
-    for field_char, token in zip(fields, parts[1:]):
-        if not token.startswith(field_char) or not token[1:].isdigit():
-            raise ValueError(f"malformed variable name {name!r}")
-        indices.append(int(token[1:]))
-    return VarRef(kind, tuple(indices))
+    return VarRef(name[0], tuple(map(int, match.groups())))
 
 
 @dataclass(frozen=True)

@@ -1043,7 +1043,7 @@ def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None
     for ref, val in parsed.items():
         if ref not in values:
             raise ValueError(f"variable {ref.name} does not belong to this instance")
-        if ref.kind != "e" and abs(val - round(val)) <= 1e-6:
+        if ref.kind != "e" and math.isfinite(val) and abs(val - round(val)) <= 1e-6:
             values[ref] = int(round(val))
         else:
             values[ref] = val

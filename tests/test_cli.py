@@ -205,6 +205,42 @@ def test_validate_external_nan_energy_is_infeasible(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _external_heuristic(tmp_path, replace):
+    """A heuristic schedule as ``name = value`` lines, with ``replace``
+    substituted for the listed names."""
+    inst_path = _gen_small(tmp_path)
+    inst = w.load_instance(inst_path)
+    solution = w.solve_heuristic(inst, w.build_arcs(inst))
+    lines = [f"{ref.name} = {val}" for ref, val in solution.values.items()
+             if val and ref.name not in replace]
+    ext_path = tmp_path / "ext.sol"
+    ext_path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in replace.items()]) + "\n")
+    return inst_path, ext_path
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_validate_external_non_finite_binary_is_infeasible(tmp_path, capsys, value):
+    inst_path, ext_path = _external_heuristic(tmp_path, {"y_i0_t0": value})
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path),
+               "--solution", str(ext_path), "--external"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "infeasible" in captured.out and "C13_y_i0_t0" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_validate_external_aliasing_name_exits_2(tmp_path, capsys):
+    inst_path, ext_path = _external_heuristic(tmp_path, {"y_i00_t0": 0})
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path),
+               "--solution", str(ext_path), "--external"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "malformed variable name 'y_i00_t0'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_render_out_of_range_exits_2(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     sol_path = tmp_path / "sol.json"

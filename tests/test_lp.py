@@ -126,6 +126,7 @@ def test_number_tokens():
     ("Minimize\n obj: e_i0\nBinaries\n foo$bar\nEnd\n", "", 4),
     ("Minimize\n obj: e_i0\nMinimize\n obj: e_i0\nEnd\n", "duplicate", 3),
     ("Minimize\n obj: e_i0\nEnd\ntrailing\n", "after End", 4),
+    ("Minimize\n obj: e_i0\nBounds\n e_i0\nEnd\n", "end of line", 4),
 ])
 def test_parse_errors_carry_positions(text, needle, line):
     with pytest.raises(LpParseError) as err:
@@ -140,3 +141,21 @@ def test_parse_error_reports_column():
         w.parse_lp(text)
     assert err.value.line == 2
     assert err.value.col > 1
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("Minimize\n obj: 1e999 e_i0\nEnd\n", 2, 7),
+    ("Minimize\n obj: e_i0\nSubject To\n C9_i0: e_i0 <= -1e999\nEnd\n", 4, 18),
+    ("Minimize\n obj: e_i0\nBounds\n 0 <= e_i0 <= 2e308\nEnd\n", 4, 15),
+], ids=["coefficient", "rhs", "bound"])
+def test_overflowing_literal_is_rejected(text, line, col):
+    with pytest.raises(LpParseError, match="out of range") as err:
+        w.parse_lp(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_bound_error_columns():
+    text = "Minimize\n obj: e_i0\nBounds\n 0 <= e_i0\nEnd\n"
+    with pytest.raises(LpParseError, match="end of line") as err:
+        w.parse_lp(text)
+    assert (err.value.line, err.value.col) == (4, 11)

@@ -4,6 +4,7 @@ import pytest
 
 import wsnsched as w
 from wsnsched.model import KIND_ORDER
+from wsnsched.solve import parse_external_solution
 from helpers import make_instance, trivial_instance
 
 
@@ -242,3 +243,21 @@ def test_parse_var_name_roundtrip():
     for bad in ("x_i0_j0", "q_i0", "e_j0", "x_i0_j0_t0_gx", "y_t0_i0", "", "e"):
         with pytest.raises(ValueError):
             w.parse_var_name(bad)
+    # Only the spelling VarRef.name writes parses, so no two names alias.
+    for bad in ("y_i01_t0", "y_i0_t00", "e_i00", "z_l0_i1_j02_t0_g0",  # leading zeros
+                "y_i\u0663_t0", "e_i\uff11",  # non-ASCII digits
+                "e_i+1", "e_i-1", "e_i 1", "e_i1\n", " e_i1", "e_i1_", "ee_i0", "E_i0"):
+        with pytest.raises(ValueError, match="malformed variable name"):
+            w.parse_var_name(bad)
+
+
+def test_name_of_wrong_arity_names_the_fields_given():
+    assert w.VarRef("y", (3,)).name == "y_i3"
+    assert w.VarRef("e", (0, 5)).name == "e_i0"
+    with pytest.raises(KeyError):
+        w.VarRef("q", (0,)).name
+
+
+def test_external_solution_rejects_aliasing_names():
+    with pytest.raises(ValueError, match="line 2: malformed variable name 'y_i00_t0'"):
+        parse_external_solution("y_i0_t0 = 1\ny_i00_t0 = 0\n")
