@@ -183,7 +183,6 @@ def _cmd_solve(args) -> int:
         time_limit_s=args.time_limit,
         node_limit=args.node_limit,
         gap=args.gap,
-        rng_seed=args.seed,
     )
     certificate = None
     if args.method == "exact":
@@ -312,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time-limit", type=float, default=60.0, dest="time_limit")
     solve.add_argument("--node-limit", type=int, default=0, dest="node_limit")
     solve.add_argument("--gap", type=float, default=0.0)
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--oracle-cap", type=int, default=40, dest="oracle_cap")
     solve.set_defaults(func=_cmd_solve)
 

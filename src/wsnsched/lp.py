@@ -151,13 +151,13 @@ def _number(tok: _Token) -> float:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int, end_col: int = 1,
-                 end_what: str = "input"):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.end_line = end_line
-        self.end_col = end_col
-        self.end_what = end_what
+        # Running out of tokens ends the last line read, not the file.
+        last = tokens[-1] if tokens else _Token("", 1, 1)
+        self.end_line = last.line
+        self.end_col = last.col + len(last.text)
 
     def peek(self, ahead: int = 0) -> _Token | None:
         k = self.pos + ahead
@@ -166,7 +166,7 @@ class _Parser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise LpParseError(f"unexpected end of {self.end_what}", self.end_line, self.end_col)
+            raise LpParseError("unexpected end of line", self.end_line, self.end_col)
         self.pos += 1
         return tok
 
@@ -269,10 +269,9 @@ def parse_lp(text: str) -> IlpModel:
     the binary kinds, [0, inf) for energy variables).
     """
     sections = _split_sections(text)
-    end_line = text.count("\n") + 1
 
     # Objective.
-    p = _Parser(sections["objective"], end_line)
+    p = _Parser(sections["objective"])
     first, second = p.peek(0), p.peek(1)
     if first is not None and second is not None and second.text == ":":
         if _is_number(first.text) or first.text in _SENSES or first.text in ("+", "-"):
@@ -284,7 +283,7 @@ def parse_lp(text: str) -> IlpModel:
 
     # Constraints.
     constraints: list[LinearConstraint] = []
-    p = _Parser(sections.get("constraints", []), end_line)
+    p = _Parser(sections.get("constraints", []))
     while p.peek() is not None:
         name_tok = p.next()
         colon = p.peek()
@@ -311,9 +310,7 @@ def parse_lp(text: str) -> IlpModel:
     for tok in toks:
         by_line.setdefault(tok.line, []).append(tok)
     for lineno in sorted(by_line):
-        # One bound per line: running out of tokens ends the line, not the file.
-        last = by_line[lineno][-1]
-        p = _Parser(by_line[lineno], lineno, last.col + len(last.text), "line")
+        p = _Parser(by_line[lineno])  # one bound per line
         first = p.peek()
         if _is_number(first.text) or first.text in ("+", "-"):
             lo = p.parse_signed_number()
@@ -353,7 +350,7 @@ def parse_lp(text: str) -> IlpModel:
     # Binaries: bare names in declaration order.
     binaries: list[VarRef] = []
     seen: set[VarRef] = set()
-    p = _Parser(sections.get("binaries", []), end_line)
+    p = _Parser(sections.get("binaries", []))
     while p.peek() is not None:
         tok = p.next()
         try:

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .instance import Instance, build_arcs, scenario_instance
@@ -261,7 +260,6 @@ class ExperimentSpec:
     solver: str = "heuristic"  # "heuristic" | "exact"
     scenario: str = "bench1"
     time_limit_s: float = 60.0
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
@@ -274,8 +272,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown solver {self.solver!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,7 @@ def spec_from_json(data: dict) -> ExperimentSpec:
     for key in ("types", "periods", "seeds"):
         if key in data:
             kwargs[key] = tuple(data[key])
-    for key in ("solver", "scenario", "time_limit_s", "workers"):
+    for key in ("solver", "scenario", "time_limit_s"):
         if key in data:
             kwargs[key] = data[key]
     return ExperimentSpec(**kwargs)
@@ -315,7 +311,6 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
         "solver": spec.solver,
         "scenario": spec.scenario,
         "time_limit_s": spec.time_limit_s,
-        "workers": spec.workers,
     }
 
 
@@ -356,12 +351,7 @@ def run_experiment(spec: ExperimentSpec, log=None) -> list[ExperimentRow]:
     for kind in spec.types:
         for periods in spec.periods:
             seeds = spec.seeds if kind == "random" else (0,)
-            jobs = [(spec, kind, periods, seed) for seed in seeds]
-            if spec.workers > 1 and len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                    results = list(pool.map(lambda args: _one_run(*args), jobs))
-            else:
-                results = [_one_run(*args) for args in jobs]
+            results = [_one_run(spec, kind, periods, seed) for seed in seeds]
             objectives = [m.objective for m, _ in results]
             reals = [m.real_objective for m, _ in results]
             rates = [m.uncovered_rate for m, _ in results]

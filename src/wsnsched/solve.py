@@ -21,13 +21,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import ArcSets, EnergyTables, Instance, arcs_match, build_arcs
-from .model import IlpModel, VarRef, parse_var_name, variable_universe
+from .model import VarRef, parse_var_name, variable_universe
 
 SOLUTION_FORMAT = "wsn-solution/1"
 BATTERY_TOL = 1e-6
@@ -36,16 +37,14 @@ ORACLE_CAP_DEFAULT = 40
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Limits for the exact solver; the other methods ignore most fields.
+    """Limits for the exact solver; the heuristic ignores them.
 
-    ``rng_seed`` is recorded for provenance but unused: every method is
-    deterministic.  ``node_limit`` of 0 means unlimited.
+    ``node_limit`` of 0 means unlimited.
     """
 
     time_limit_s: float = 60.0
     node_limit: int = 0
     gap: float = 0.0
-    rng_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class _Structures:
         self.out_arcs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
         for (a, b) in self.stream_arcs:
             self.out_arcs[a].append((a, b))
-        self.sources = [sorted({i for i, _ in arcs.coverage[g]}) for g in range(self.G)]
         # Demanded points only: sensing a point nobody asked about never helps.
         self.cand: dict[tuple[int, int], list[int]] = {}
         self.sensor_cover: dict[tuple[int, int], list[int]] = {}
@@ -105,32 +103,54 @@ class _Structures:
         ]
 
     def route_min(self, l: int, g: int) -> float:
-        """Cheapest route cost from sensor l to any sink for phenomenon g.
+        """Cheapest route cost from sensor l to any sink for phenomenon g;
+        inf when no sink is reachable."""
+        route = _route(self, l, g, [self.tables.er[g]] * self.n)
+        return math.inf if route is None else route[1]
 
-        An arc costs the tail's transmit energy plus, for sensor heads,
-        the head's receive energy; sinks receive for free.  inf when no
-        sink is reachable.
-        """
-        et, er = self.tables.et, self.tables.er[g]
-        n = self.n
-        dist = {l: 0.0}
-        heap = [(0.0, l)]
-        best = math.inf
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
+
+def _route(s: _Structures, src: int, g: int, enter: list[float]):
+    """Cheapest path from sensor src to any sink for phenomenon g.
+
+    An arc costs its tail's transmit energy; entering sensor v adds
+    ``enter[v]``, its receive energy plus any surcharge (inf bans it), while
+    sinks receive for free.  Returns (arcs in path order, cost), or None
+    when no sink is reachable.
+    """
+    et = s.tables.et
+    n = s.n
+    dist = {src: 0.0}
+    prev: dict[int, tuple[int, int]] = {}
+    heap = [(0.0, src)]
+    best_sink, best_cost = None, math.inf
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, math.inf):
+            continue
+        if u >= n:
+            if d < best_cost:
+                best_sink, best_cost = u, d
+            continue
+        for (a, b) in s.out_arcs[u]:
+            if b == src:
                 continue
-            if u >= n:
-                best = min(best, d)
-                continue
-            for (a, b) in self.out_arcs[u]:
-                if b == l:
-                    continue
-                nd = d + et[(a, b)][g] + (er if b < n else 0.0)
-                if nd < dist.get(b, math.inf):
-                    dist[b] = nd
-                    heapq.heappush(heap, (nd, b))
-        return best
+            nd = d + et[(a, b)][g]
+            if b < n:
+                nd += enter[b]
+            if nd < dist.get(b, math.inf):
+                dist[b] = nd
+                prev[b] = (a, b)
+                heapq.heappush(heap, (nd, b))
+    if best_sink is None:
+        return None
+    path = []
+    node = best_sink
+    while node != src:
+        arc = prev[node]
+        path.append(arc)
+        node = arc[0]
+    path.reverse()
+    return tuple(path), best_cost
 
 
 @dataclass(frozen=True)
@@ -166,8 +186,8 @@ def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
     if m == 0:
         return [], True
     if m > arc_cap:
-        flow = _cheapest_flow(s, l, g)
-        return ([flow] if flow is not None else []), False
+        route = _route(s, l, g, [s.tables.er[g]] * n)
+        return ([] if route is None else [_make_flow(s, g, tuple(sorted(route[0])))]), False
 
     # Balance is checked as soon as the last arc touching a sensor is
     # assigned, which kills most of the 2^m tree early.
@@ -215,41 +235,6 @@ def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
     rec(0)
     flows.sort(key=lambda f: (f.cost, f.arcs))
     return flows, True
-
-
-def _cheapest_flow(s: _Structures, l: int, g: int) -> _Flow | None:
-    """Shortest-path route from l to the nearest sink, as a flow."""
-    et, er = s.tables.et, s.tables.er[g]
-    n = s.n
-    dist = {l: 0.0}
-    prev: dict[int, tuple[int, int]] = {}
-    heap = [(0.0, l)]
-    best_sink, best_cost = None, math.inf
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        if u >= n:
-            if d < best_cost:
-                best_sink, best_cost = u, d
-            continue
-        for (a, b) in s.out_arcs[u]:
-            if b == l:
-                continue
-            nd = d + et[(a, b)][g] + (er if b < n else 0.0)
-            if nd < dist.get(b, math.inf):
-                dist[b] = nd
-                prev[b] = (a, b)
-                heapq.heappush(heap, (nd, b))
-    if best_sink is None:
-        return None
-    path = []
-    node = best_sink
-    while node != l:
-        arc = prev[node]
-        path.append(arc)
-        node = arc[0]
-    return _make_flow(s, g, tuple(sorted(path)))
 
 
 # -- exact branch and bound ------------------------------------------------------
@@ -482,86 +467,26 @@ class _ExactSearch:
             self.best_r = dict(self.r_val)
             self.best_flows = dict(self.flow_choice)
 
-    # -- solution reconstruction --
-
-    def build_solution(self, wall_time: float) -> Solution:
-        s = self.s
-        values = {ref: 0 for ref in variable_universe(s.instance, s.arcs)}
-        y_state: set[tuple[int, int]] = set()
-        en = [0.0] * s.n
-        for (i, t, g), val in self.best_r.items():
-            if val:
-                values[VarRef("r", (i, t, g))] = 1
-                if (i, t) not in y_state:
-                    y_state.add((i, t))
-                    en[i] += self.em
-        for g in range(s.G):
-            for (i, j) in s.arcs.coverage[g]:
-                for t in range(s.T):
-                    if self.best_r.get((i, t, g)):
-                        values[VarRef("x", (i, j, t, g))] = 1
-        for (l, t, g), flow_arcs in self.best_flows.items():
-            for (a, b) in flow_arcs:
-                values[VarRef("z", (l, a, b, t, g))] = 1
-                en[a] += s.tables.et[(a, b)][g]
-                heads = (a,) if b >= s.n else (a, b)
-                for u in heads:
-                    if (u, t) not in y_state:
-                        y_state.add((u, t))
-                        en[u] += self.em
-                if b < s.n:
-                    en[b] += s.tables.er[g]
-        for (i, t) in y_state:
-            values[VarRef("y", (i, t))] = 1
-        objective = 0.0
-        for i in range(s.n):
-            prev = False
-            for t in range(s.T):
-                cur = (i, t) in y_state
-                if cur and not prev:
-                    values[VarRef("w", (i, t))] = 1
-                    en[i] += self.ea
-                prev = cur
-            values[VarRef("e", (i,))] = en[i]
-            objective += en[i]
-        n_sensing = 0
-        for (key, val) in self.best_r.items():
-            n_sensing += val
-        for (j, t, g) in s.demanded:
-            covered = any(self.best_r.get((i, t, g)) for i in s.cand.get((j, g), ()))
-            if not covered:
-                values[VarRef("h", (j, t, g))] = 1
-                objective += self.eh
-        objective += self.eg * n_sensing
-        return Solution(values=values, provenance="exact",
-                        wall_time_s=wall_time, objective=objective)
-
 
 def solve_exact(
     instance: Instance,
     arcs: ArcSets | None = None,
-    model: IlpModel | None = None,
     config: SolveConfig | None = None,
 ) -> tuple[Solution, bool]:
     """Minimize the objective by branch and bound.
 
     Returns (solution, certificate); the certificate is True only when the
     search completed with gap 0, in which case the solution is optimal.
-    The optional ``model`` is accepted for interface symmetry and checked
-    for basic consistency; the search itself works from the instance.
     """
     if arcs is None:
         arcs = build_arcs(instance)
     if not arcs_match(instance, arcs):
         raise ValueError("arc sets were not built from this instance")
-    if model is not None and len(model.bounds) != len(instance.sensors):
-        raise ValueError("model was not built from this instance")
-    cfg = config or SolveConfig()
     t0 = time.perf_counter()
-    search = _ExactSearch(instance, arcs, cfg)
+    search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
-    solution = search.build_solution(time.perf_counter() - t0)
-    return solution, certificate
+    r_set = {key for key, val in search.best_r.items() if val}
+    return _assemble(search.s, r_set, search.best_flows, "exact", t0), certificate
 
 
 # -- exhaustive oracle -----------------------------------------------------------
@@ -808,12 +733,14 @@ def solve_heuristic(
     def find_route(src: int, t: int, g: int):
         """Cheapest battery-feasible route from src; None if there is none.
 
-        Relays whose battery cannot take their share are banned and the
-        search reruns, at most once per sensor.
+        Entering a sensor costs its receive energy plus its activation
+        surcharge.  Relays whose battery cannot take their share are banned
+        and the search reruns, at most once per sensor.
         """
-        ban: set[int] = set()
+        extra = [surcharge(v, t) for v in range(n)]
+        enter = [tb.er[g] + x for x in extra]
         for _ in range(n + 1):
-            path = _dijkstra_route(s, src, g, t, surcharge, ban)
+            path = _route(s, src, g, enter)
             if path is None:
                 return None
             arcs_p, cost = path
@@ -824,7 +751,7 @@ def solve_heuristic(
                     deltas[b] = deltas.get(b, 0.0) + tb.er[g]
             for v in list(deltas):
                 if v != src:
-                    deltas[v] += surcharge(v, t)
+                    deltas[v] += extra[v]
             bad = None
             for v in sorted(deltas):
                 if v != src and residual[v] < deltas[v] - 1e-12:
@@ -832,7 +759,7 @@ def solve_heuristic(
                     break
             if bad is None:
                 return arcs_p, deltas, cost
-            ban.add(bad)
+            enter[bad] = math.inf
         return None
 
     for t in range(T):
@@ -873,22 +800,40 @@ def solve_heuristic(
                 for j in newly:
                     open_points.discard(j)
 
-    values = {ref: 0 for ref in variable_universe(instance, arcs)}
+    return _assemble(s, r_set, flows, "heuristic", t0)
+
+
+# -- schedule assembly ------------------------------------------------------------
+
+
+def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solution:
+    """Complete a schedule into a full assignment.
+
+    ``r_set`` holds the sensing triples (i, t, g) and ``flows`` maps each
+    of them to the arcs of its stream.  The rest follows: x from coverage,
+    y wherever a sensor senses or carries a stream, w at each start of
+    activity, h for every demanded triple left uncovered, and e accounted
+    exactly as the energy constraint does.  ``t0`` is the solve's start.
+    """
+    tb = s.tables
+    n, T = s.n, s.T
+    values = {ref: 0 for ref in variable_universe(s.instance, s.arcs)}
+    y = [[False] * T for _ in range(n)]
     for (i, t, g) in r_set:
         values[VarRef("r", (i, t, g))] = 1
-    for g in range(G):
-        for (i, j) in arcs.coverage[g]:
+        y[i][t] = True
+    for g in range(s.G):
+        for (i, j) in s.arcs.coverage[g]:
             for t in range(T):
                 if (i, t, g) in r_set:
                     values[VarRef("x", (i, j, t, g))] = 1
-    for (l, t, g), arcs_p in flows.items():
-        for (a, b) in arcs_p:
+    for (l, t, g), path in flows.items():
+        for (a, b) in path:
             values[VarRef("z", (l, a, b, t, g))] = 1
-    for (j, t, g) in s.demanded:
-        if not any((i, t, g) in r_set for i in s.cand.get((j, g), ())):
-            values[VarRef("h", (j, t, g))] = 1
+            y[a][t] = True
+            if b < n:
+                y[b][t] = True
 
-    # Energy, accounted exactly as the energy constraint does.
     energy = [0.0] * n
     for i in range(n):
         prev = False
@@ -900,8 +845,8 @@ def solve_heuristic(
                     values[VarRef("w", (i, t))] = 1
                     energy[i] += tb.ea
             prev = y[i][t]
-    for (l, t, g), arcs_p in flows.items():
-        for (a, b) in arcs_p:
+    for (l, t, g), path in flows.items():
+        for (a, b) in path:
             energy[a] += tb.et[(a, b)][g]
             if b < n:
                 energy[b] += tb.er[g]
@@ -910,51 +855,12 @@ def solve_heuristic(
         values[VarRef("e", (i,))] = energy[i]
         objective += energy[i]
     for (j, t, g) in s.demanded:
-        if values[VarRef("h", (j, t, g))]:
+        if not any((i, t, g) in r_set for i in s.cand.get((j, g), ())):
+            values[VarRef("h", (j, t, g))] = 1
             objective += tb.eh
     objective += tb.eg * len(r_set)
-
-    return Solution(values=values, provenance="heuristic",
+    return Solution(values=values, provenance=provenance,
                     wall_time_s=time.perf_counter() - t0, objective=objective)
-
-
-def _dijkstra_route(s: _Structures, src: int, g: int, t: int, surcharge, banned: set[int]):
-    """Cheapest path src -> any sink; entering a sensor costs its receive
-    energy plus its activation surcharge.  Returns (arcs, cost) or None."""
-    et, er = s.tables.et, s.tables.er[g]
-    n = s.n
-    dist = {src: 0.0}
-    prev: dict[int, tuple[int, int]] = {}
-    heap = [(0.0, src)]
-    best_sink, best_cost = None, math.inf
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        if u >= n:
-            if d < best_cost:
-                best_sink, best_cost = u, d
-            continue
-        for (a, b) in s.out_arcs[u]:
-            if b == src or (b < n and b in banned):
-                continue
-            nd = d + et[(a, b)][g]
-            if b < n:
-                nd += er + surcharge(b, t)
-            if nd < dist.get(b, math.inf):
-                dist[b] = nd
-                prev[b] = (a, b)
-                heapq.heappush(heap, (nd, b))
-    if best_sink is None:
-        return None
-    path = []
-    node = best_sink
-    while node != src:
-        arc = prev[node]
-        path.append(arc)
-        node = arc[0]
-    path.reverse()
-    return tuple(path), best_cost
 
 
 # -- solution files ---------------------------------------------------------------
@@ -981,24 +887,48 @@ def save_solution(solution: Solution, path) -> None:
     atomic_write_text(path, json.dumps(solution_to_json(solution), indent=2) + "\n")
 
 
+def _snap(ref: VarRef, val):
+    """A finite binary within 1e-6 of an integer becomes that int; any
+    other value is kept as-is for the validator to reject."""
+    if ref.kind == "e" or isinstance(val, int) or not math.isfinite(val):
+        return val
+    near = round(val)
+    return near if abs(val - near) <= 1e-6 else val
+
+
+def _json_number(what: str, val):
+    """``val`` if it is a JSON number (not a bool) that fits a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{what} has non-numeric value {val!r}")
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        raise ValueError(f"{what} is out of range")
+    return val
+
+
 def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
-    """Load a solution JSON, zero-filling variables omitted from the file."""
+    """Load a solution JSON, zero-filling variables omitted from the file.
+
+    Every value must be a JSON number; binaries are snapped by :func:`_snap`.
+    """
     if arcs is None:
         arcs = build_arcs(instance)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("format") != SOLUTION_FORMAT:
-        raise ValueError(f"unsupported solution format {data.get('format')!r}")
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != SOLUTION_FORMAT:
+        raise ValueError(f"unsupported solution format {fmt!r}")
+    if not isinstance(data.get("values"), dict):
+        raise ValueError("solution file has no 'values' object")
     values = {ref: 0 for ref in variable_universe(instance, arcs)}
     for name, val in data["values"].items():
         ref = parse_var_name(name)
         if ref not in values:
             raise ValueError(f"solution variable {name} does not belong to this instance")
-        values[ref] = val if ref.kind == "e" else int(val)
+        values[ref] = _snap(ref, _json_number(f"solution variable {name}", val))
     return Solution(
         values=values,
         provenance=data.get("provenance", "external"),
-        wall_time_s=float(data.get("wall_time_s", 0.0)),
+        wall_time_s=float(_json_number("wall_time_s", data.get("wall_time_s", 0.0))),
         objective=data.get("objective"),
     )
 
@@ -1032,8 +962,7 @@ def parse_external_solution(text: str) -> dict[VarRef, float]:
 def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
     """Import an external solver's assignment, zero-filling omitted variables.
 
-    Binary values within 1e-6 of an integer are snapped to it; anything
-    further off is kept as-is for the validator to reject.
+    Binary values are snapped to integers by :func:`_snap`.
     """
     if arcs is None:
         arcs = build_arcs(instance)
@@ -1043,8 +972,5 @@ def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None
     for ref, val in parsed.items():
         if ref not in values:
             raise ValueError(f"variable {ref.name} does not belong to this instance")
-        if ref.kind != "e" and math.isfinite(val) and abs(val - round(val)) <= 1e-6:
-            values[ref] = int(round(val))
-        else:
-            values[ref] = val
+        values[ref] = _snap(ref, val)
     return Solution(values=values, provenance="external", wall_time_s=0.0)

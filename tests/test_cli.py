@@ -241,6 +241,71 @@ def test_validate_external_aliasing_name_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _solution_with(tmp_path, name, raw):
+    """A heuristic solution file whose value for ``name`` is the JSON
+    text ``raw``."""
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst_path), "--method", "heuristic",
+                 "--out", str(sol_path)]) == 0
+    doc = json.loads(sol_path.read_text())
+    assert doc["values"][name]
+    doc["values"][name] = "@@"
+    sol_path.write_text(json.dumps(doc).replace('"@@"', raw))
+    return inst_path, sol_path
+
+
+@pytest.mark.parametrize("raw,rc", [("1.7", 1), ("Infinity", 1), ("-Infinity", 1),
+                                    ("NaN", 1), ("0.9999999", 0), ("1.0", 0)])
+def test_validate_binary_values_snap_or_fail_c13(tmp_path, capsys, raw, rc):
+    inst_path, sol_path = _solution_with(tmp_path, "y_i0_t0", raw)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst_path),
+                 "--solution", str(sol_path)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert "infeasible" in captured.out and "C13_y_i0_t0" in captured.out
+    else:
+        assert "feasible" in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name,raw,needle", [
+    ("y_i0_t0", '"abc"', "non-numeric"),
+    ("y_i0_t0", "null", "non-numeric"),
+    ("y_i0_t0", "true", "non-numeric"),
+    ("y_i0_t0", "[1]", "non-numeric"),
+    ("e_i0", '"1.5"', "non-numeric"),
+    ("e_i0", "false", "non-numeric"),
+    ("y_i0_t0", "1" + "0" * 400, "out of range"),
+    ("e_i0", "-1" + "0" * 400, "out of range"),
+], ids=["string", "null", "bool", "list", "string-energy", "bool-energy",
+        "huge-int", "huge-int-energy"])
+def test_validate_non_numeric_value_exits_2(tmp_path, capsys, name, raw, needle):
+    inst_path, sol_path = _solution_with(tmp_path, name, raw)
+    capsys.readouterr()
+    assert main(["validate", "--instance", str(inst_path),
+                 "--solution", str(sol_path)]) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err and name in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"format": "wsn-solution/1"}',
+    '{"format": "wsn-solution/1", "values": [1]}',
+    '{"format": "wsn-solution/1", "values": {}, "wall_time_s": null}',
+])
+def test_validate_malformed_solution_file_exits_2(tmp_path, capsys, text):
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(text)
+    assert main(["validate", "--instance", str(inst_path),
+                 "--solution", str(sol_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_render_out_of_range_exits_2(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     sol_path = tmp_path / "sol.json"

@@ -127,6 +127,8 @@ def test_number_tokens():
     ("Minimize\n obj: e_i0\nMinimize\n obj: e_i0\nEnd\n", "duplicate", 3),
     ("Minimize\n obj: e_i0\nEnd\ntrailing\n", "after End", 4),
     ("Minimize\n obj: e_i0\nBounds\n e_i0\nEnd\n", "end of line", 4),
+    ("Minimize\n obj: e_i0\nSubject To\n c: e_i0 <=\nBounds\n e_i0 <= 1\nEnd\n",
+     "end of line", 4),
 ])
 def test_parse_errors_carry_positions(text, needle, line):
     with pytest.raises(LpParseError) as err:
@@ -159,3 +161,12 @@ def test_bound_error_columns():
     with pytest.raises(LpParseError, match="end of line") as err:
         w.parse_lp(text)
     assert (err.value.line, err.value.col) == (4, 11)
+
+
+def test_constraint_missing_rhs_error_column():
+    # Running out of tokens ends the constraint's own line, even with
+    # Bounds below it, not one line past the file.
+    text = "Minimize\n obj: e_i0\nSubject To\n c: e_i0 <=\nBounds\n e_i0 <= 1\nEnd\n"
+    with pytest.raises(LpParseError, match="end of line") as err:
+        w.parse_lp(text)
+    assert (err.value.line, err.value.col) == (4, 12)

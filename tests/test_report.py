@@ -118,16 +118,6 @@ def test_experiment_duplicate_seeds_have_zero_spread():
     assert row.real_objective_std == 0.0
 
 
-def test_experiment_workers_do_not_change_results():
-    base = dict(types=("random",), periods=(1,), seeds=(1, 2, 4),
-                solver="heuristic", scenario="bench1")
-    serial = w.run_experiment(w.ExperimentSpec(**base))[0]
-    threaded = w.run_experiment(w.ExperimentSpec(**base, workers=3))[0]
-    for field in ("objective_mean", "objective_std", "real_objective_mean",
-                  "uncovered_rate_mean", "uncovered_rate_std", "n"):
-        assert getattr(serial, field) == getattr(threaded, field)
-
-
 def test_experiment_log_callback():
     spec = w.ExperimentSpec(types=("grid",), periods=(1,), seeds=(1,),
                             solver="heuristic", scenario="bench1")
@@ -168,7 +158,7 @@ def test_csv_rejects_malformed_input():
 def test_spec_json_roundtrip(tmp_path):
     spec = w.ExperimentSpec(types=("random",), periods=(2, 3), seeds=(5, 6),
                             solver="exact", scenario="bench2",
-                            time_limit_s=12.5, workers=4)
+                            time_limit_s=12.5)
     doc = spec_to_json(spec)
     assert doc["format"] == "wsn-experiment/1"
     assert spec_from_json(doc) == spec
@@ -188,5 +178,3 @@ def test_spec_validation():
         w.ExperimentSpec(solver="simplex")
     with pytest.raises(ValueError):
         w.ExperimentSpec(seeds=())
-    with pytest.raises(ValueError):
-        w.ExperimentSpec(workers=0)

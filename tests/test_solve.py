@@ -5,7 +5,7 @@ import math
 import pytest
 
 import wsnsched as w
-from wsnsched.solve import OracleCapExceeded, parse_external_solution
+from wsnsched.solve import OracleCapExceeded, _route, _Structures, parse_external_solution
 from helpers import (
     make_instance,
     tiny_instance,
@@ -276,3 +276,95 @@ def test_wall_time_is_recorded():
                 w.solve_heuristic(inst, arcs)):
         assert sol.wall_time_s >= 0.0
         assert math.isfinite(sol.wall_time_s)
+
+
+def _simple_path_min(s, src, g, enter):
+    """Minimum cost over the simple paths from src to any sink, by
+    depth-first enumeration.  A partial path is dropped once it costs at
+    least the best complete one, which loses nothing: no cost is negative."""
+    et, n = s.tables.et, s.n
+    best = math.inf
+
+    def walk(u, cost, seen):
+        nonlocal best
+        if cost >= best:
+            return
+        if u >= n:
+            best = cost
+            return
+        for (a, b) in s.out_arcs[u]:
+            if b not in seen:
+                walk(b, cost + et[(a, b)][g] + (enter[b] if b < n else 0.0), seen | {b})
+
+    walk(src, 0.0, {src})
+    return best
+
+
+def _check_route(s, src, g, enter):
+    """_route's answer against the enumeration; returns its path."""
+    expected = _simple_path_min(s, src, g, enter)
+    route = _route(s, src, g, enter)
+    if math.isinf(expected):
+        assert route is None
+        return None
+    path, cost = route
+    assert cost == pytest.approx(expected, rel=1e-12)
+    # The arcs chain from src to a sink, and their own cost is the cost.
+    assert path[0][0] == src and path[-1][1] >= s.n
+    assert all(path[k][1] == path[k + 1][0] for k in range(len(path) - 1))
+    again = sum(s.tables.et[arc][g] + (enter[arc[1]] if arc[1] < s.n else 0.0)
+                for arc in path)
+    assert again == pytest.approx(cost, rel=1e-12)
+    return path
+
+
+def _check_routes(inst, arcs):
+    """Every source and phenomenon, with plain receive costs, with
+    per-sensor surcharges, and with one relay banned; returns how many
+    bans hit a relay of the unbanned optimum."""
+    s = _Structures(inst, arcs)
+    tb = s.tables
+    hits = 0
+    for g in range(s.G):
+        plain = [tb.er[g]] * s.n
+        # Surcharges differ per sensor, as activation surcharges do.
+        surcharged = [tb.er[g] + (v % 3) * tb.em + (tb.ea if v % 2 else 0.0)
+                      for v in range(s.n)]
+        for src in range(s.n):
+            route = _route(s, src, g, plain)
+            assert s.route_min(src, g) == (math.inf if route is None else route[1])
+            for enter in (plain, surcharged):
+                path = _check_route(s, src, g, enter)
+                relays = [] if path is None else [b for (_, b) in path[:-1]]
+                relay = relays[0] if relays else (src + 1) % s.n
+                hits += bool(relays)
+                banned = list(enter)
+                banned[relay] = math.inf
+                detour = _check_route(s, src, g, banned)
+                assert detour is None or all(b != relay for (_, b) in detour)
+    return hits
+
+
+def test_route_matches_simple_path_enumeration_tiny():
+    hits = sum(_check_routes(*tiny_instance(seed)) for seed in range(30))
+    assert hits > 0  # some bans remove a relay the optimum used
+
+
+def test_route_matches_simple_path_enumeration_grids():
+    # Every bench1 grid sensor reaches the sink directly; the larger bench2
+    # grid needs relays, so there the bans change routes.
+    inst = w.scenario_instance("bench1", kind="grid", periods=1)
+    _check_routes(inst, w.build_arcs(inst))
+    inst = w.scenario_instance("bench2", kind="grid", periods=1)
+    assert _check_routes(inst, w.build_arcs(inst)) > 0
+
+
+def test_route_none_when_every_relay_is_banned():
+    inst = make_instance(
+        sensors=[(1.0, 5.0), (4.0, 5.0)], demand_points=[(1.0, 6.0)],
+        sinks=[(7.0, 5.0)], radii=(2.0,), comm_radius=3.0)
+    s = _Structures(inst, w.build_arcs(inst))
+    er = s.tables.er[0]
+    assert _check_route(s, 0, 0, [er, er]) == ((0, 1), (1, 2))
+    assert _route(s, 0, 0, [er, math.inf]) is None
+    assert s.route_min(0, 0) == _route(s, 0, 0, [er, er])[1]
