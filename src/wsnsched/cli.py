@@ -37,8 +37,8 @@ from .solve import (
     solve_heuristic,
 )
 from .validate import (
+    InfeasibleSolutionError,
     SolutionIndexError,
-    check_feasibility,
     evaluate,
     violations_to_json,
 )
@@ -195,12 +195,12 @@ def _cmd_solve(args) -> int:
         except OracleCapExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    violations = check_feasibility(instance, arcs, solution)
-    if violations:
-        print(f"error: solver produced an infeasible solution ({violations[0].tag})",
+    try:
+        metrics = evaluate(instance, solution, arcs)
+    except InfeasibleSolutionError as exc:
+        print(f"error: solver produced an infeasible solution ({exc.violations[0].tag})",
               file=sys.stderr)
         return 1
-    metrics = evaluate(instance, solution, arcs)
     save_solution(solution, args.out)
     denom = instance.demanded_triples()
     uncovered = round(metrics.uncovered_rate * denom)
@@ -226,11 +226,14 @@ def _cmd_validate(args) -> int:
         solution = load_external_solution(args.solution, instance, arcs)
     else:
         solution = load_solution(args.solution, instance, arcs)
+    violations = []
     try:
-        violations = check_feasibility(instance, arcs, solution)
+        metrics = evaluate(instance, solution, arcs)
     except SolutionIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InfeasibleSolutionError as exc:
+        violations = exc.violations
     if args.report:
         atomic_write_text(args.report,
                           json.dumps(violations_to_json(violations), indent=2) + "\n")
@@ -241,7 +244,6 @@ def _cmd_validate(args) -> int:
         if len(violations) > 10:
             print(f"  ... and {len(violations) - 10} more")
         return 1
-    metrics = evaluate(instance, solution, arcs)
     print("feasible")
     print(f"objective: {metrics.objective}")
     print(f"real objective: {metrics.real_objective}")

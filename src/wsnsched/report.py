@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .instance import Instance, build_arcs, scenario_instance
 from .model import VarRef
 from .solve import SolveConfig, solve_exact, solve_heuristic
-from .validate import check_feasibility, evaluate
+from .validate import InfeasibleSolutionError, _values_of, evaluate
 
 EXPERIMENT_FORMAT = "wsn-experiment/1"
 
@@ -108,13 +108,6 @@ class _Scene:
 def _source_color(l: int) -> str:
     hue = (l * 137.508) % 360.0
     return f"hsl({hue:.1f},65%,42%)"
-
-
-def _values_of(solution) -> dict:
-    # Accept either a Solution-like object or a bare {VarRef: value} dict.
-    if isinstance(solution, dict):
-        return solution
-    return solution.values
 
 
 def _check_view(instance: Instance, t: int, g: int) -> None:
@@ -328,13 +321,13 @@ def _one_run(spec: ExperimentSpec, kind: str, periods: int, seed: int):
         solution, _certificate = solve_exact(
             instance, arcs, config=SolveConfig(time_limit_s=spec.time_limit_s)
         )
-    violations = check_feasibility(instance, arcs, solution)
-    if violations:
+    try:
+        metrics = evaluate(instance, solution, arcs)
+    except InfeasibleSolutionError as exc:
         raise RuntimeError(
             f"solver {spec.solver!r} produced an infeasible solution on "
-            f"{kind}/T={periods}/seed={seed}: {violations[0].tag}"
-        )
-    metrics = evaluate(instance, solution, arcs)
+            f"{kind}/T={periods}/seed={seed}: {exc.violations[0].tag}"
+        ) from None
     if metrics.objective != metrics.real_objective + metrics.penalty_total:
         raise RuntimeError("objective accounting identity broken")
     return metrics, solution.wall_time_s

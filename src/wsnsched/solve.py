@@ -29,6 +29,7 @@ import numpy as np
 
 from .instance import ArcSets, EnergyTables, Instance, arcs_match, build_arcs
 from .model import VarRef, parse_var_name, variable_universe
+from .validate import _Universe
 
 SOLUTION_FORMAT = "wsn-solution/1"
 BATTERY_TOL = 1e-6
@@ -49,10 +50,11 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """A complete variable assignment plus provenance.
+    """A variable assignment plus provenance.
 
-    ``values`` maps every variable of the instance's model to its value
-    (ints for binaries, float for energies).  ``objective`` is the cost
+    ``values`` maps each nonzero variable of the instance's model to its
+    value (ints for binaries, float for energies); a variable it leaves
+    out is 0, in memory as in solution files.  ``objective`` is the cost
     the producer claims; the validator recomputes it independently.
     """
 
@@ -654,12 +656,11 @@ def brute_force_oracle(
     assert best_code is not None  # the all-zero assignment is always feasible
 
     # Rebuild the winner in exact scalar arithmetic.
-    values = {ref: 0 for ref in universe}
-    for k, ref in enumerate(free):
-        values[ref] = (best_code >> (nf - 1 - k)) & 1
+    best = [(best_code >> (nf - 1 - k)) & 1 for k in range(nf)]
+    values = {ref: 1 for ref, bit in zip(free, best) if bit}
     y_set = set()
     for (i, t), cols in act_cols.items():
-        if any(values[free[c]] for c in cols):
+        if any(best[c] for c in cols):
             y_set.add((i, t))
             values[VarRef("y", (i, t))] = 1
     objective = 0.0
@@ -675,16 +676,17 @@ def brute_force_oracle(
                     energy += tables.ea
             prev = cur
         for c, coef in sorted(energy_coef[i].items()):
-            if values[free[c]]:
+            if best[c]:
                 energy += coef
-        values[VarRef("e", (i,))] = energy
+        if energy:
+            values[VarRef("e", (i,))] = energy
         objective += energy
     for (j, t, g), cols in cover_cols.items():
-        if not any(values[free[c]] for c in cols):
+        if not any(best[c] for c in cols):
             values[VarRef("h", (j, t, g))] = 1
             objective += tables.eh
-    for ref in free:
-        if ref.kind == "r" and values[ref]:
+    for ref, bit in zip(free, best):
+        if ref.kind == "r" and bit:
             objective += tables.eg
 
     return Solution(values=values, provenance="oracle",
@@ -807,7 +809,7 @@ def solve_heuristic(
 
 
 def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solution:
-    """Complete a schedule into a full assignment.
+    """Complete a schedule into its nonzero assignment.
 
     ``r_set`` holds the sensing triples (i, t, g) and ``flows`` maps each
     of them to the arcs of its stream.  The rest follows: x from coverage,
@@ -817,7 +819,7 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
     """
     tb = s.tables
     n, T = s.n, s.T
-    values = {ref: 0 for ref in variable_universe(s.instance, s.arcs)}
+    values = {}
     y = [[False] * T for _ in range(n)]
     for (i, t, g) in r_set:
         values[VarRef("r", (i, t, g))] = 1
@@ -852,7 +854,8 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
                 energy[b] += tb.er[g]
     objective = 0.0
     for i in range(n):
-        values[VarRef("e", (i,))] = energy[i]
+        if energy[i]:
+            values[VarRef("e", (i,))] = energy[i]
         objective += energy[i]
     for (j, t, g) in s.demanded:
         if not any((i, t, g) in r_set for i in s.cand.get((j, g), ())):
@@ -905,13 +908,21 @@ def _json_number(what: str, val):
     return val
 
 
+def _members(instance: Instance, arcs: ArcSets | None):
+    """The validator's per-kind test of membership in the instance's universe."""
+    if arcs is None:
+        arcs = build_arcs(instance)
+    elif not arcs_match(instance, arcs):
+        raise ValueError("arc sets were not built from this instance")
+    return _Universe(instance, arcs).member
+
+
 def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
-    """Load a solution JSON, zero-filling variables omitted from the file.
+    """Load a solution JSON; variables the file omits, or sets to 0, are 0.
 
     Every value must be a JSON number; binaries are snapped by :func:`_snap`.
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
+    member = _members(instance, arcs)
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     fmt = data.get("format") if isinstance(data, dict) else None
@@ -919,12 +930,14 @@ def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solu
         raise ValueError(f"unsupported solution format {fmt!r}")
     if not isinstance(data.get("values"), dict):
         raise ValueError("solution file has no 'values' object")
-    values = {ref: 0 for ref in variable_universe(instance, arcs)}
+    values = {}
     for name, val in data["values"].items():
         ref = parse_var_name(name)
-        if ref not in values:
+        if not member[ref.kind](ref.indices):
             raise ValueError(f"solution variable {name} does not belong to this instance")
-        values[ref] = _snap(ref, _json_number(f"solution variable {name}", val))
+        val = _snap(ref, _json_number(f"solution variable {name}", val))
+        if val:
+            values[ref] = val
     return Solution(
         values=values,
         provenance=data.get("provenance", "external"),
@@ -960,17 +973,18 @@ def parse_external_solution(text: str) -> dict[VarRef, float]:
 
 
 def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
-    """Import an external solver's assignment, zero-filling omitted variables.
+    """Import an external solver's assignment; omitted variables are 0.
 
     Binary values are snapped to integers by :func:`_snap`.
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
+    member = _members(instance, arcs)
     with open(path, "r", encoding="utf-8") as fh:
         parsed = parse_external_solution(fh.read())
-    values = {ref: 0 for ref in variable_universe(instance, arcs)}
+    values = {}
     for ref, val in parsed.items():
-        if ref not in values:
+        if not member[ref.kind](ref.indices):
             raise ValueError(f"variable {ref.name} does not belong to this instance")
-        values[ref] = _snap(ref, val)
+        val = _snap(ref, val)
+        if val:
+            values[ref] = val
     return Solution(values=values, provenance="external", wall_time_s=0.0)

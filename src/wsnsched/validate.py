@@ -7,25 +7,25 @@ rows are checked exactly; only the energy accounting row and the battery
 bounds use a small absolute tolerance, and a non-finite energy never
 passes them.
 
-:func:`check_feasibility` makes one pass over the solution's values.  It
+A solution lists its nonzero values only; a variable it leaves out reads
+as 0.  :func:`check_feasibility` makes one pass over those values.  It
 files each value under its kind, keyed by the bare index tuple, so the
 rows read plain tuple-keyed dicts instead of hashing ``VarRef`` objects.
 Membership in the universe is a predicate per kind over the same arc sets
 (coverage pairs, stream sources and arcs, demanded points, index ranges),
-and the universe's size is computed arithmetically from them: keys that
-all pass the predicate and are as many as the universe size are exactly
-the universe, so the universe itself is never built.  It is walked in
-order only when something is wrong, to name the first missing variable
-or to list fractional binaries (C13).  The stream rows visit only the
-nonzero stream variables, since a zero term adds an exact zero to any
-row sum; every other row keeps its loop and summation order, so reports
-are the same, value for value, as those of a checker that walks the
-full universe.
+so the universe itself is never built; it is walked in order only to list
+fractional binaries (C13), or every stream variable when an activity value
+is negative (C7/C8).  The other stream rows visit only the nonzero stream
+variables, since a zero term adds an exact zero to any row sum; every
+other row keeps its loop and summation order over all the indices the
+instance implies, so reports are the same, value for value, as those of
+a checker that walks the full universe of a zero-filled solution.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .instance import ArcSets, EnergyTables, Instance, build_arcs
@@ -102,9 +102,9 @@ class _Universe:
     """The variable universe of (instance, arcs) as membership predicates.
 
     ``member[kind](indices)`` says whether a variable belongs to the
-    universe, ``size`` is how many variables it has, and :meth:`walk`
-    yields them as ``(kind, indices)`` in the order the checker reports
-    them.  Everything is re-derived here from the arc sets alone.
+    universe, and :meth:`walk` yields its variables as ``(kind, indices)``
+    in the order the checker reports them.  Everything is re-derived here
+    from the arc sets alone.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets):
@@ -139,16 +139,6 @@ class _Universe:
             "h": lambda k: len(k) == 3 and k[0] in demand.get(k[2], ()) and k[1] in periods,
             "e": lambda k: len(k) == 1 and k[0] in sensors,
         }
-        # A stream of source l runs on every stream arc except those into l.
-        into: dict[int, int] = {}
-        for _, b in arcs.comm:
-            into[b] = into.get(b, 0) + 1
-        streams = sum(len(self.stream_arcs) - into.get(l, 0)
-                      for ls in self.sources.values() for l in ls)
-        self.size = (T * sum(len(pairs) for pairs in arcs.coverage)
-                     + n * (T * (2 + G) + 1)
-                     + T * streams
-                     + T * sum(len(js) for js in self.demand.values()))
 
     def walk(self):
         n, T, G = self.n, self.T, self.G
@@ -176,11 +166,7 @@ class _Universe:
                     yield "h", (j, t, g)
 
     def index_error(self, values) -> SolutionIndexError:
-        """The error naming the first missing, else first foreign, variable."""
-        for kind, idx in self.walk():
-            ref = VarRef(kind, idx)
-            if ref not in values:
-                return SolutionIndexError(f"solution is missing variable {ref.name}")
+        """The error naming the first foreign variable of ``values``."""
         for ref in values:
             member = self.member.get(ref.kind)
             if member is None:
@@ -188,15 +174,16 @@ class _Universe:
                     f"solution has foreign variable of unknown kind {ref.kind!r}")
             if not member(ref.indices):
                 return SolutionIndexError(f"solution has foreign variable {ref.name}")
-        raise AssertionError("unreachable: the variables match the universe")
+        raise AssertionError("unreachable: every variable is in the universe")
 
 
 def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Violation]:
     """All violated constraint rows of a solution; empty means feasible.
 
-    Raises :class:`SolutionIndexError` when the solution's variable set is
-    not exactly the universe the instance implies (a missing or foreign
-    variable is an indexing bug, not an infeasibility).
+    A variable the solution leaves out reads as 0.  Raises
+    :class:`SolutionIndexError` when the solution holds a variable outside
+    the universe the instance implies (a foreign variable is an indexing
+    bug, not an infeasibility).
     """
     values = _values_of(solution)
     universe = _Universe(instance, arcs)
@@ -206,9 +193,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
             parts[ref.kind][ref.indices] = val
     except KeyError:
         raise universe.index_error(values) from None
-    # Distinct members of the universe, as many as it has: exactly the universe.
-    if len(values) != universe.size or not all(
-            all(map(universe.member[kind], part)) for kind, part in parts.items()):
+    if not all(all(map(universe.member[kind], part)) for kind, part in parts.items()):
         raise universe.index_error(values)
     X, Y, Z, W, R, H, E = (parts[kind] for kind in "xyzwrhe")
 
@@ -219,7 +204,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     # C13: binaries take values in {0, 1}.
     if any(not set(part.values()) <= _BINARY for kind, part in parts.items() if kind != "e"):
         for kind, idx in universe.walk():
-            val = parts[kind][idx]
+            val = parts[kind].get(idx, 0)
             if kind != "e" and val not in _BINARY:
                 out.append(Violation(f"C13_{VarRef(kind, idx).name}", float(val), "bin", 0.0))
 
@@ -232,8 +217,8 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for g in range(G):
         for j in universe.demand[g]:
             for t in range(T):
-                lhs = sum(X[i, j, t, g] for i in cover_of.get((j, g), []))
-                lhs += H[j, t, g]
+                lhs = sum(X.get((i, j, t, g), 0) for i in cover_of.get((j, g), []))
+                lhs += H.get((j, t, g), 0)
                 if not lhs >= 1.0:
                     out.append(Violation(f"C2_j{j}_t{t}_g{g}", lhs, ">=", 1.0))
 
@@ -241,7 +226,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for g in range(G):
         for (i, j) in arcs.coverage[g]:
             for t in range(T):
-                lhs = X[i, j, t, g] - R[i, t, g]
+                lhs = X.get((i, j, t, g), 0) - R.get((i, t, g), 0)
                 if not lhs <= 0.0:
                     out.append(Violation(f"C3_i{i}_j{j}_t{t}_g{g}", lhs, "<=", 0.0))
 
@@ -249,7 +234,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for i in range(n):
         for t in range(T):
             for g in range(G):
-                lhs = R[i, t, g] - Y[i, t]
+                lhs = R.get((i, t, g), 0) - Y.get((i, t), 0)
                 if not lhs <= 0.0:
                     out.append(Violation(f"C4_i{i}_t{t}_g{g}", lhs, "<=", 0.0))
 
@@ -282,8 +267,8 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
         for j in sorted(touched[g, l, t]):
             if j == l:
                 continue
-            lhs = sum(Z[l, a, b, t, g] for (a, b) in in_s[j])
-            lhs -= sum(Z[l, a, b, t, g] for (a, b) in out_all[j] if b != l)
+            lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in in_s[j])
+            lhs -= sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_all[j] if b != l)
             if lhs != 0.0:
                 out.append(Violation(f"C5_l{l}_j{j}_t{t}_g{g}", lhs, "=", 0.0))
 
@@ -294,20 +279,24 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
             for t in range(T):
                 lhs = 0.0
                 if l in src:
-                    lhs = sum(Z[l, a, b, t, g] for (a, b) in out_all[l] if b != l)
-                lhs -= R[l, t, g]
+                    lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_all[l] if b != l)
+                lhs -= R.get((l, t, g), 0)
                 if lhs != 0.0:
                     out.append(Violation(f"C6_l{l}_t{t}_g{g}", lhs, "=", 0.0))
 
     # C7/C8: carrying arcs need active endpoints.  A zero z can break them
-    # only against a negative activity value, so then every z is visited.
-    carriers = sorted(Z, key=z_order) if any(yv < 0 for yv in Y.values()) else flows
+    # only against a negative activity value, so then every z of the
+    # universe is visited, present or not.
+    carriers = flows
+    if any(yv < 0 for yv in Y.values()):
+        carriers = [idx for kind, idx in universe.walk() if kind == "z"]
     for (l, a, b, t, g) in carriers:
-        zv = Z[l, a, b, t, g]
-        if zv - Y[a, t] > 0.0:
-            out.append(Violation(f"C7_l{l}_i{a}_j{b}_t{t}_g{g}", zv - Y[a, t], "<=", 0.0))
-        if b < n and zv - Y[b, t] > 0.0:
-            out.append(Violation(f"C8_l{l}_i{a}_j{b}_t{t}_g{g}", zv - Y[b, t], "<=", 0.0))
+        zv = Z.get((l, a, b, t, g), 0)
+        ya, yb = Y.get((a, t), 0), Y.get((b, t), 0)
+        if zv - ya > 0.0:
+            out.append(Violation(f"C7_l{l}_i{a}_j{b}_t{t}_g{g}", zv - ya, "<=", 0.0))
+        if b < n and zv - yb > 0.0:
+            out.append(Violation(f"C8_l{l}_i{a}_j{b}_t{t}_g{g}", zv - yb, "<=", 0.0))
 
     # C9: drawn energy covers maintenance, activation and traffic.  Terms of
     # one (sensor, period, phenomenon) are summed in (arc, source) order.
@@ -321,20 +310,20 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     for i in range(n):
         lhs = 0.0
         for t in range(T):
-            lhs += tables.em * Y[i, t]
-            lhs += tables.ea * W[i, t]
+            lhs += tables.em * Y.get((i, t), 0)
+            lhs += tables.ea * W.get((i, t), 0)
             for g in range(G):
                 for _, _, zv in sorted(received.get((i, t, g), ())):
                     lhs += tables.er[g] * zv
                 for p, _, zv in sorted(sent.get((i, t, g), ())):
                     lhs += tables.et[stream_arcs[p]][g] * zv
-        lhs -= E[i,]
+        lhs -= E.get((i,), 0)
         if not lhs <= ENERGY_TOL:  # also flags a NaN energy
             out.append(Violation(f"C9_i{i}", lhs, "<=", 0.0))
 
     # C10: battery bounds.
     for i in range(n):
-        ei = E[i,]
+        ei = E.get((i,), 0)
         if ei < -ENERGY_TOL:
             out.append(Violation(f"C10_i{i}", ei, ">=", 0.0))
         elif not ei <= tables.eb + ENERGY_TOL:  # also flags a NaN energy
@@ -342,11 +331,11 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
 
     # C11/C12: off-to-on transitions are counted.
     for i in range(n):
-        lhs = W[i, 0] - Y[i, 0]
+        lhs = W.get((i, 0), 0) - Y.get((i, 0), 0)
         if not lhs >= 0.0:
             out.append(Violation(f"C11_i{i}", lhs, ">=", 0.0))
         for t in range(1, T):
-            lhs = W[i, t] - Y[i, t] + Y[i, t - 1]
+            lhs = W.get((i, t), 0) - Y.get((i, t), 0) + Y.get((i, t - 1), 0)
             if not lhs >= 0.0:
                 out.append(Violation(f"C12_i{i}_t{t}", lhs, ">=", 0.0))
 
@@ -358,7 +347,8 @@ def violations_to_json(violations) -> list[dict]:
 
 
 def evaluate(instance: Instance, solution, arcs: ArcSets | None = None) -> Metrics:
-    """Metrics for a feasible solution.
+    """Metrics for a feasible solution; raises
+    :class:`InfeasibleSolutionError`, which lists the violations, otherwise.
 
     The headline objective is real (energy) objective plus penalties by
     construction, so ``objective == real_objective + penalty_total`` holds
@@ -371,19 +361,17 @@ def evaluate(instance: Instance, solution, arcs: ArcSets | None = None) -> Metri
         raise InfeasibleSolutionError(violations)
     values = _values_of(solution)
     n = len(instance.sensors)
-    energy = tuple(float(values[VarRef("e", (i,))]) for i in range(n))
+    energy = tuple(float(values.get(VarRef("e", (i,)), 0)) for i in range(n))
     real = sum(energy)
-    uncovered = 0
+    count = Counter(ref.kind for ref, val in values.items() if val)
+    # Penalties are added one at a time, every r before every h, so the
+    # float sum does not depend on the order the values were stored in.
     penalty = 0.0
-    activations = 0
-    for ref, val in values.items():
-        if ref.kind == "h" and val:
-            uncovered += 1
-            penalty += instance.penalty_uncovered
-        elif ref.kind == "r" and val:
-            penalty += instance.penalty_activation
-        elif ref.kind == "w" and val:
-            activations += 1
+    for _ in range(count["r"]):
+        penalty += instance.penalty_activation
+    uncovered = count["h"]
+    for _ in range(uncovered):
+        penalty += instance.penalty_uncovered
     denom = instance.demanded_triples()
     return Metrics(
         objective=real + penalty,
@@ -391,5 +379,5 @@ def evaluate(instance: Instance, solution, arcs: ArcSets | None = None) -> Metri
         penalty_total=penalty,
         uncovered_rate=(uncovered / denom) if denom else 0.0,
         per_sensor_energy=energy,
-        activations=activations,
+        activations=count["w"],
     )

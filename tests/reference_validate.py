@@ -4,7 +4,7 @@ A verbatim copy of the original ``check_feasibility`` and
 ``_required_variables``, which materialize the whole variable universe as
 ``VarRef`` objects and check every row over it.  The production checker in
 ``wsnsched.validate`` must report the same violations and raise the same
-index errors on every solution with finite values.
+index errors on every zero-filled solution with finite values.
 """
 
 from __future__ import annotations

@@ -317,6 +317,54 @@ def test_render_out_of_range_exits_2(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Solutions passed to check_feasibility, from wherever it is called."""
+    from wsnsched import cli, report, validate
+
+    calls = []
+    original = validate.check_feasibility
+
+    def counting(instance, arcs, solution):
+        calls.append(solution)
+        return original(instance, arcs, solution)
+
+    for module in (validate, cli, report):
+        if getattr(module, "check_feasibility", None) is original:
+            monkeypatch.setattr(module, "check_feasibility", counting)
+    return calls
+
+
+def test_each_solution_is_checked_once(tmp_path, check_calls):
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst_path), "--method", "heuristic",
+                 "--out", str(sol_path)]) == 0
+    assert len(check_calls) == 1
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path),
+                 "--report", str(report_path)]) == 0
+    assert len(check_calls) == 2
+    assert json.loads(report_path.read_text()) == []
+    doc = json.loads(sol_path.read_text())
+    doc["values"] = {k: v for k, v in doc["values"].items() if not k.startswith("e_")}
+    sol_path.write_text(json.dumps(doc))
+    assert main(["validate", "--instance", str(inst_path), "--solution", str(sol_path),
+                 "--report", str(report_path)]) == 1
+    assert len(check_calls) == 3
+    assert json.loads(report_path.read_text())
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "format": "wsn-experiment/1",
+        "types": ["grid", "random"], "periods": [1], "seeds": [1, 2],
+        "solver": "heuristic", "scenario": "default",
+    }))
+    assert main(["experiment", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert len(check_calls) == 3 + 3  # one grid cell, two random seeds
+
+
 def test_experiment_command(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

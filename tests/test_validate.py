@@ -5,6 +5,7 @@ import pytest
 import wsnsched as w
 from wsnsched.validate import SolutionIndexError, InfeasibleSolutionError
 from helpers import make_instance, trivial_instance
+import reference_validate as ref
 
 
 def zero_values(instance, arcs, with_penalties=True):
@@ -50,23 +51,30 @@ def test_all_zero_without_penalty_flags_every_triple():
         w.evaluate(inst, values, arcs)
 
 
+def assert_absent_reads_as_zero(inst, arcs, values, absent):
+    """Without ``absent`` the report is the reference's with it set to 0."""
+    missing = dict(values)
+    del missing[absent]
+    twin = dict(values)
+    twin[absent] = 0
+    assert (w.violations_to_json(w.check_feasibility(inst, arcs, missing))
+            == w.violations_to_json(ref.check_feasibility(inst, arcs, twin)))
+
+
 def test_index_mismatch_is_not_a_violation():
     inst = trivial_instance()
     arcs = w.build_arcs(inst)
     values = zero_values(inst, arcs)
-    missing = dict(values)
-    del missing[w.VarRef("y", (0, 0))]
-    with pytest.raises(SolutionIndexError):
-        w.check_feasibility(inst, arcs, missing)
+    assert_absent_reads_as_zero(inst, arcs, values, w.VarRef("y", (0, 0)))
+    assert_absent_reads_as_zero(inst, arcs, values, w.VarRef("h", (0, 0, 0)))
     foreign = dict(values)
     foreign[w.VarRef("y", (99, 0))] = 0.0
     with pytest.raises(SolutionIndexError):
         w.check_feasibility(inst, arcs, foreign)
-    # Same count, one missing and one foreign: the missing one is named.
-    swapped = dict(missing)
-    swapped[w.VarRef("y", (99, 0))] = 0.0
-    assert len(swapped) == len(values)
-    with pytest.raises(SolutionIndexError, match="missing variable y_i0_t0$"):
+    # One absent and one foreign: the foreign one is named.
+    swapped = dict(foreign)
+    del swapped[w.VarRef("y", (0, 0))]
+    with pytest.raises(SolutionIndexError, match="foreign variable y_i99_t0$"):
         w.check_feasibility(inst, arcs, swapped)
 
 
@@ -109,11 +117,12 @@ def test_foreign_key_is_rejected(kind, indices):
     added[foreign_ref] = 0.0
     with pytest.raises(SolutionIndexError, match="foreign variable"):
         w.check_feasibility(inst, arcs, added)
-    # With the count unchanged, only the membership test can catch it.
+    # With another variable absent, the foreign one is still named.
     swapped = dict(added)
     del swapped[w.VarRef("e", (1,))]
-    with pytest.raises(SolutionIndexError, match="missing variable e_i1$"):
+    with pytest.raises(SolutionIndexError, match="foreign variable"):
         w.check_feasibility(inst, arcs, swapped)
+    assert_absent_reads_as_zero(inst, arcs, values, w.VarRef("e", (1,)))
 
 
 def violated_families(inst, arcs, values):
@@ -259,12 +268,25 @@ def test_uncovered_rate_fraction():
     # Marking one covered triple as also paying the penalty stays feasible
     # (C2 is one-sided) and moves the rate to exactly 1/200.
     values = dict(solution.values)
-    some_h = next(ref for ref in values if ref.kind == "h")
+    some_h = next(ref for ref in w.variable_universe(inst, arcs) if ref.kind == "h")
+    assert some_h not in values
     values[some_h] = 1.0
     bumped = w.evaluate(inst, values, arcs)
     assert bumped.uncovered_rate == 0.005
     assert bumped.objective == pytest.approx(
         metrics.objective + inst.penalty_uncovered, rel=1e-12)
+
+
+def test_metrics_do_not_depend_on_value_order():
+    # Both penalty kinds occur; summed in dict order, the reversed dict
+    # rounds the penalty total differently.
+    inst = w.scenario_instance("default", kind="random", periods=2, seed=2)
+    arcs = w.build_arcs(inst)
+    solution = w.solve_heuristic(inst, arcs)
+    metrics = w.evaluate(inst, solution, arcs)
+    assert metrics.uncovered_rate > 0 and metrics.activations > 0
+    reversed_values = dict(reversed(list(solution.values.items())))
+    assert w.evaluate(inst, reversed_values, arcs) == metrics
 
 
 def test_accounting_identity_exact():

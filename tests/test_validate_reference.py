@@ -1,11 +1,13 @@
 """Differential tests: the checker against the reference universe walker.
 
 ``reference_validate`` is the original checker, which builds every
-``VarRef`` of the universe.  On random finite mutations of solver output
-both must report the same violations (compared as JSON text, so ``1`` and
-``1.0`` or ``0.0`` and ``-0.0`` differ) and raise the same index errors.
-NaN values are left out on purpose: the checker flags a NaN energy, and
-the reference does not.
+``VarRef`` of the universe and requires every one of them in the solution.
+On random finite mutations of zero-filled solver output both must report
+the same violations (compared as JSON text, so ``1`` and ``1.0`` or ``0.0``
+and ``-0.0`` differ) and raise the same index errors.  The checker must
+also report the same for each mutation with its zeros dropped, since an
+absent variable reads as 0.  NaN values are left out on purpose: the
+checker flags a NaN energy, and the reference does not.
 """
 
 import json
@@ -28,9 +30,30 @@ def _report(check, inst, arcs, values):
         return f"SolutionIndexError: {exc}"
 
 
+def _dense(inst, arcs, values):
+    """``values`` with every absent variable of the universe set to int 0."""
+    return {r: 0 for r in w.variable_universe(inst, arcs)} | values
+
+
+def _sparse(values):
+    return {r: val for r, val in values.items() if val}
+
+
+def _dense_heuristic(inst, arcs):
+    """The heuristic schedule over the whole universe, zero energies as 0.0."""
+    filled = {r: 0.0 if r.kind == "e" else 0 for r in w.variable_universe(inst, arcs)}
+    return filled | w.solve_heuristic(inst, arcs).values
+
+
+def _assert_matches_reference(inst, arcs, values):
+    got = _report(w.check_feasibility, inst, arcs, values)
+    assert got == _report(ref.check_feasibility, inst, arcs, values)
+    assert got == _report(w.check_feasibility, inst, arcs, _sparse(values))
+
+
 def _mutations(inst, arcs, count, seed, binary_values=BINARY_VALUES):
-    """Yield ``count`` mutated copies of the heuristic schedule."""
-    base = w.solve_heuristic(inst, arcs).values
+    """Yield ``count`` mutated copies of the zero-filled heuristic schedule."""
+    base = _dense_heuristic(inst, arcs)
     binaries = [r for r in base if r.kind != "e"]
     nonzero = [r for r in binaries if base[r]]
     energies = [r for r in base if r.kind == "e"]
@@ -61,8 +84,7 @@ CASES = list(_cases())  # 155 mutations in all
 def test_violations_match_reference(label, inst, count):
     arcs = w.build_arcs(inst)
     for values in _mutations(inst, arcs, count, seed=len(label)):
-        assert (_report(w.check_feasibility, inst, arcs, values)
-                == _report(ref.check_feasibility, inst, arcs, values))
+        _assert_matches_reference(inst, arcs, values)
 
 
 def test_mutations_reach_every_family():
@@ -81,14 +103,14 @@ def test_negative_binaries_match_reference(seed):
     # A negative activity value lets a zero stream variable break C7/C8.
     inst, arcs = tiny_instance(seed)
     for values in _mutations(inst, arcs, 6, seed=seed, binary_values=(-1, 0, 1)):
-        assert (_report(w.check_feasibility, inst, arcs, values)
-                == _report(ref.check_feasibility, inst, arcs, values))
+        _assert_matches_reference(inst, arcs, values)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_index_errors_match_reference(seed):
+    # Deleted keys read as 0; added foreign keys are index errors.
     inst, arcs = tiny_instance(seed)
-    base = w.solve_heuristic(inst, arcs).values
+    base = _dense_heuristic(inst, arcs)
     n = len(inst.sensors)
     foreign = [w.VarRef("y", (n, 0)), w.VarRef("e", (0, 0)),
                w.VarRef("h", (0, inst.periods, 0)),
@@ -99,13 +121,12 @@ def test_index_errors_match_reference(seed):
         values = dict(base)
         for r in rng.sample(keys, rng.randint(0, 2)):
             del values[r]
-        for r in rng.sample(foreign, rng.randint(0, 2)):
+        added = rng.sample(foreign, rng.randint(0, 2))
+        for r in added:
             values[r] = rng.choice(BINARY_VALUES)
-        if len(values) == len(base) and all(r in base for r in values):
-            continue
         got = _report(w.check_feasibility, inst, arcs, values)
-        assert got.startswith("SolutionIndexError")
-        assert got == _report(ref.check_feasibility, inst, arcs, values)
+        assert got.startswith("SolutionIndexError") == bool(added)
+        assert got == _report(ref.check_feasibility, inst, arcs, _dense(inst, arcs, values))
 
 
 @pytest.mark.parametrize("first, second, lhs", [
