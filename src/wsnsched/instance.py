@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -199,11 +200,12 @@ class Instance:
         w, h = self.area
         if not (w > 0 and h > 0):
             raise ValueError("area dimensions must be positive")
-        if self.periods < 1:
+        # Every range test is written so that NaN fails it.
+        if not self.periods >= 1:
             raise ValueError("periods must be >= 1")
-        if self.period_length <= 0:
+        if not self.period_length > 0:
             raise ValueError("period_length must be positive")
-        if self.comm_radius <= 0:
+        if not self.comm_radius > 0:
             raise ValueError("comm_radius must be positive")
         if not self.phenomena:
             raise ValueError("at least one phenomenon is required")
@@ -211,7 +213,7 @@ class Instance:
         if len(set(ids)) != len(ids):
             raise ValueError("phenomenon ids must be unique")
         for ph in self.phenomena:
-            if ph.coverage_radius <= 0 or ph.sampling_rate <= 0 or ph.bits_per_sample <= 0:
+            if not (ph.coverage_radius > 0 and ph.sampling_rate > 0 and ph.bits_per_sample > 0):
                 raise ValueError(f"phenomenon {ph.id} has nonpositive parameters")
         if not self.sinks:
             raise ValueError("at least one sink is required")
@@ -227,12 +229,13 @@ class Instance:
             if not set(dp.demands) <= known:
                 raise ValueError(f"demand point {j} demands unknown phenomena")
         dev = self.device
-        if min(dev.battery_capacity, dev.activation_energy, dev.maintenance_energy,
-               dev.receive_energy_per_bit, dev.transmit.base, dev.transmit.distance_coef) < 0:
+        if not all(x >= 0 for x in (dev.battery_capacity, dev.activation_energy,
+                                    dev.maintenance_energy, dev.receive_energy_per_bit,
+                                    dev.transmit.base, dev.transmit.distance_coef)):
             raise ValueError("device energies must be nonnegative")
-        if dev.bit_rate <= 0:
+        if not dev.bit_rate > 0:
             raise ValueError("bit_rate must be positive")
-        if self.penalty_activation < 0:
+        if not self.penalty_activation >= 0:
             raise ValueError("penalty_activation must be nonnegative")
         draw = max_period_draw(dev, self.phenomena, self.period_length, self.comm_radius)
         if not self.penalty_uncovered > draw:
@@ -625,46 +628,75 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+def _integer(val, what: str) -> int:
+    """A JSON integer; a bool or a float is refused."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ValueError(f"instance field {what} must be an integer, got {val!r}")
+    return val
+
+
+def _real(val, what: str) -> float:
+    """A finite JSON number (an integer is accepted), as a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"instance field {what} must be a number, got {val!r}")
+    if (isinstance(val, int) and abs(val) > sys.float_info.max) or not math.isfinite(val):
+        raise ValueError(f"instance field {what} must be finite, got {val!r}")
+    return float(val)
+
+
 def instance_from_json(data: dict) -> Instance:
-    if data.get("format") != INSTANCE_FORMAT:
-        raise ValueError(f"unsupported instance format {data.get('format')!r}")
+    """Read an instance document.  Integer fields must hold JSON integers
+    and real fields finite JSON numbers; anything else is a ValueError."""
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != INSTANCE_FORMAT:
+        raise ValueError(f"unsupported instance format {fmt!r}")
     try:
         dev = data["device"]
         tx = dev["transmit_energy_per_bit"]
+        area = data["area"]
+        pen = data["penalties"]
         return Instance(
-            area=(float(data["area"]["width"]), float(data["area"]["height"])),
-            sensors=tuple(Point2D(float(x), float(y)) for x, y in data["sensors"]),
+            area=(_real(area["width"], "area.width"), _real(area["height"], "area.height")),
+            sensors=tuple(Point2D(_real(x, "sensors"), _real(y, "sensors"))
+                          for x, y in data["sensors"]),
             demand_points=tuple(
                 DemandPoint(
-                    Point2D(float(d["position"][0]), float(d["position"][1])),
-                    tuple(int(g) for g in d["demands"]),
+                    Point2D(_real(d["position"][0], "demand_points.position"),
+                            _real(d["position"][1], "demand_points.position")),
+                    tuple(_integer(g, "demand_points.demands") for g in d["demands"]),
                 )
                 for d in data["demand_points"]
             ),
-            sinks=tuple(Point2D(float(x), float(y)) for x, y in data["sinks"]),
+            sinks=tuple(Point2D(_real(x, "sinks"), _real(y, "sinks"))
+                        for x, y in data["sinks"]),
             phenomena=tuple(
                 Phenomenon(
-                    id=int(p["id"]),
-                    coverage_radius=float(p["coverage_radius_m"]),
-                    sampling_rate=float(p["sampling_rate_per_min"]),
-                    bits_per_sample=int(p["bits_per_sample"]),
+                    id=_integer(p["id"], "phenomena.id"),
+                    coverage_radius=_real(p["coverage_radius_m"], "phenomena.coverage_radius_m"),
+                    sampling_rate=_real(p["sampling_rate_per_min"],
+                                        "phenomena.sampling_rate_per_min"),
+                    bits_per_sample=_integer(p["bits_per_sample"], "phenomena.bits_per_sample"),
                 )
                 for p in data["phenomena"]
             ),
-            periods=int(data["periods"]),
-            period_length=float(data["period_length_min"]),
-            comm_radius=float(data["comm_radius_m"]),
+            periods=_integer(data["periods"], "periods"),
+            period_length=_real(data["period_length_min"], "period_length_min"),
+            comm_radius=_real(data["comm_radius_m"], "comm_radius_m"),
             device=DeviceProfile(
-                battery_capacity=float(dev["battery_capacity"]),
-                activation_energy=float(dev["activation_energy"]),
-                maintenance_energy=float(dev["maintenance_energy"]),
-                receive_energy_per_bit=float(dev["receive_energy_per_bit"]),
-                transmit=TransmitModel(float(tx["base"]), float(tx["distance_coef"])),
-                bit_rate=float(dev["bit_rate_bps"]),
+                battery_capacity=_real(dev["battery_capacity"], "device.battery_capacity"),
+                activation_energy=_real(dev["activation_energy"], "device.activation_energy"),
+                maintenance_energy=_real(dev["maintenance_energy"],
+                                         "device.maintenance_energy"),
+                receive_energy_per_bit=_real(dev["receive_energy_per_bit"],
+                                             "device.receive_energy_per_bit"),
+                transmit=TransmitModel(_real(tx["base"], "device.transmit_energy_per_bit.base"),
+                                       _real(tx["distance_coef"],
+                                             "device.transmit_energy_per_bit.distance_coef")),
+                bit_rate=_real(dev["bit_rate_bps"], "device.bit_rate_bps"),
             ),
-            penalty_uncovered=float(data["penalties"]["uncovered"]),
-            penalty_activation=float(data["penalties"]["activation"]),
-            seed=int(data.get("seed", 0)),
+            penalty_uncovered=_real(pen["uncovered"], "penalties.uncovered"),
+            penalty_activation=_real(pen["activation"], "penalties.activation"),
+            seed=_integer(data.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from exc

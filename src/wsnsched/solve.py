@@ -11,6 +11,9 @@ Three methods with very different trust stories:
   only when the search ran to completion with gap 0.
 * :func:`solve_heuristic` is a greedy weighted set cover per period and
   phenomenon with shortest-path routing and running battery accounting.
+  Each round prices every candidate with one backward search from the
+  sinks, a lower bound on its routed cost, and routes candidates in
+  order of that bound only until none left can win.
 
 All three are deterministic: ties are broken by fixed orderings, never by
 hash order or a clock.
@@ -33,6 +36,9 @@ from .validate import _Universe
 
 SOLUTION_FORMAT = "wsn-solution/1"
 BATTERY_TOL = 1e-6
+# Relative room between a heuristic round's backward price and a forward
+# route cost: far above the few ulps by which summation order moves them.
+PRICE_SLACK = 1e-9
 ORACLE_CAP_DEFAULT = 40
 
 
@@ -86,8 +92,12 @@ class _Structures:
             list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
         )
         self.out_arcs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+        self.in_arcs: list[list[tuple[int, int]]] = [
+            [] for _ in range(n + len(instance.sinks))
+        ]
         for (a, b) in self.stream_arcs:
             self.out_arcs[a].append((a, b))
+            self.in_arcs[b].append((a, b))
         # Demanded points only: sensing a point nobody asked about never helps.
         self.cand: dict[tuple[int, int], list[int]] = {}
         self.sensor_cover: dict[tuple[int, int], list[int]] = {}
@@ -124,15 +134,12 @@ def _route(s: _Structures, src: int, g: int, enter: list[float]):
     dist = {src: 0.0}
     prev: dict[int, tuple[int, int]] = {}
     heap = [(0.0, src)]
-    best_sink, best_cost = None, math.inf
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
             continue
         if u >= n:
-            if d < best_cost:
-                best_sink, best_cost = u, d
-            continue
+            break  # costs are nonnegative, so the first sink settled is the cheapest
         for (a, b) in s.out_arcs[u]:
             if b == src:
                 continue
@@ -143,16 +150,42 @@ def _route(s: _Structures, src: int, g: int, enter: list[float]):
                 dist[b] = nd
                 prev[b] = (a, b)
                 heapq.heappush(heap, (nd, b))
-    if best_sink is None:
-        return None
+    else:
+        return None  # no sink is reachable
     path = []
-    node = best_sink
+    node = u
     while node != src:
         arc = prev[node]
         path.append(arc)
         node = arc[0]
     path.reverse()
-    return tuple(path), best_cost
+    return tuple(path), d
+
+
+def _route_costs(s: _Structures, g: int, enter: list[float]) -> list[float]:
+    """Every sensor's cheapest route cost to a sink, priced as :func:`_route`
+    prices it; inf where no sink is reachable.
+
+    One Dijkstra backwards from all sinks over the incoming stream arcs.
+    It sums the same terms as :func:`_route` in another order, so a cost
+    may differ from the forward one by a few ulps.
+    """
+    et = s.tables.et
+    n = s.n
+    dist = [math.inf] * n + [0.0] * (len(s.in_arcs) - n)
+    heap = [(0.0, b) for b in range(n, len(s.in_arcs))]
+    while heap:
+        d, b = heapq.heappop(heap)
+        if d > dist[b]:
+            continue
+        if b < n:
+            d += enter[b]
+        for (a, _) in s.in_arcs[b]:
+            nd = d + et[(a, b)][g]
+            if nd < dist[a]:
+                dist[a] = nd
+                heapq.heappush(heap, (nd, a))
+    return dist[:n]
 
 
 @dataclass(frozen=True)
@@ -711,6 +744,16 @@ def solve_heuristic(
     path cost, and debits every battery the route touched.  Demand points
     whose every remaining cover-and-route option would overdraw a battery,
     or cost more than the uncovered penalty, take the penalty.
+
+    A round prices every candidate at once with one backward search from
+    the sinks (:func:`_route_costs`).  That price ignores battery bans, so
+    it never exceeds the candidate's routed cost, up to the few ulps that
+    summation order moves it (``PRICE_SLACK`` covers them).  Candidates
+    are then routed by :func:`_route`, with bans, in order of their price
+    per new point; the round stops at the first whose price exceeds the
+    best routed ratio, or the uncovered penalty, by more than the slack.
+    No candidate after it can win or tie, so the schedule is the one that
+    routing every candidate would give.
     """
     if arcs is None:
         arcs = build_arcs(instance)
@@ -732,15 +775,15 @@ def solve_heuristic(
         fresh = t == 0 or not y[v][t - 1]
         return tb.em + (tb.ea if fresh else 0.0)
 
-    def find_route(src: int, t: int, g: int):
+    def find_route(src: int, g: int, extra: list[float], enter: list[float]):
         """Cheapest battery-feasible route from src; None if there is none.
 
-        Entering a sensor costs its receive energy plus its activation
-        surcharge.  Relays whose battery cannot take their share are banned
-        and the search reruns, at most once per sensor.
+        Entering sensor v costs ``enter[v]``, its receive energy plus its
+        activation surcharge ``extra[v]``.  Relays whose battery cannot
+        take their share are banned and the search reruns, at most once
+        per sensor.
         """
-        extra = [surcharge(v, t) for v in range(n)]
-        enter = [tb.er[g] + x for x in extra]
+        enter = list(enter)
         for _ in range(n + 1):
             path = _route(s, src, g, enter)
             if path is None:
@@ -768,15 +811,26 @@ def solve_heuristic(
         for g in range(G):
             open_points = set(instance.demand_indices(g))
             while open_points:
-                best = None
+                extra = [surcharge(v, t) for v in range(n)]
+                enter = [tb.er[g] + x for x in extra]
+                lower = _route_costs(s, g, enter)
+                priced = []
                 for i in range(n):
                     if (i, t, g) in r_set or (i, g) not in s.sensor_cover:
                         continue
                     newly = [j for j in s.sensor_cover[(i, g)] if j in open_points]
-                    if not newly:
-                        continue
-                    own = surcharge(i, t)
-                    route = find_route(i, t, g)
+                    if newly and lower[i] < math.inf:
+                        price = (tb.eg + extra[i] + lower[i]) / len(newly)
+                        priced.append((price, i, newly))
+                priced.sort()
+                best = None
+                for price, i, newly in priced:
+                    if price > tb.eh * (1 + PRICE_SLACK):
+                        break  # this and every later one costs more than the penalty
+                    if best is not None and price > best[0][0] * (1 + PRICE_SLACK):
+                        break  # no later candidate can reach the best ratio
+                    own = extra[i]
+                    route = find_route(i, g, extra, enter)
                     if route is None:
                         continue
                     arcs_p, deltas, route_cost = route

@@ -66,6 +66,32 @@ def test_malformed_instance_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("phenomena", 0, "coverage_radius_m"), float("nan")),
+    (("device", "battery_capacity"), float("nan")),
+    (("periods",), "3"),
+    (("periods",), 1.5),
+    (("periods",), True),
+    (("phenomena", 0, "bits_per_sample"), 8.7),
+    (("penalties", "uncovered"), float("inf")),
+])
+def test_ill_typed_instance_field_exits_2(tmp_path, capsys, path, value):
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "random", "--out", str(inst_path), "--seed", "1"]) == 0
+    doc = json.loads(inst_path.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    inst_path.write_text(json.dumps(doc))  # writes the tokens NaN and Infinity
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst_path), "--method", "heuristic",
+                 "--out", str(tmp_path / "sol.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path[-1] in err
+    assert "Traceback" not in err
+
+
 def test_build_solve_validate_render_pipeline(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     lp_path = tmp_path / "model.lp"

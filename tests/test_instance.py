@@ -1,5 +1,6 @@
 """Geometry, generators, energy arithmetic and the instance file format."""
 
+import dataclasses
 import json
 import math
 
@@ -363,6 +364,23 @@ def test_json_roundtrip_exact():
         back = w.instance_from_json(data)
         assert back == inst
         assert json.dumps(data) == json.dumps(w.instance_to_json(back))
+
+
+@pytest.mark.parametrize("field", [
+    "periods", "period_length", "comm_radius", "penalty_activation",
+    "coverage_radius", "sampling_rate", "battery_capacity", "bit_rate",
+])
+def test_nan_fails_the_range_checks(field):
+    inst = w.scenario_instance("default", kind="grid", periods=1)
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        if field in ("coverage_radius", "sampling_rate"):
+            ph = dataclasses.replace(inst.phenomena[0], **{field: nan})
+            dataclasses.replace(inst, phenomena=(ph,) + inst.phenomena[1:])
+        elif field in ("battery_capacity", "bit_rate"):
+            dataclasses.replace(inst, device=dataclasses.replace(inst.device, **{field: nan}))
+        else:
+            dataclasses.replace(inst, **{field: nan})
 
 
 def test_json_rejects_bad_documents():

@@ -5,7 +5,13 @@ import math
 import pytest
 
 import wsnsched as w
-from wsnsched.solve import OracleCapExceeded, _route, _Structures, parse_external_solution
+from wsnsched.solve import (
+    OracleCapExceeded,
+    _route,
+    _route_costs,
+    _Structures,
+    parse_external_solution,
+)
 from helpers import (
     make_instance,
     tiny_instance,
@@ -317,10 +323,24 @@ def _check_route(s, src, g, enter):
     return path
 
 
+def _assert_lower_bound(lower, route, equal):
+    """A backward route cost against a forward _route result: unreachable
+    exactly when there is no route, and never above the forward cost by
+    more than summation order can explain (equal to it when ``equal``)."""
+    if route is None:
+        assert not equal or math.isinf(lower)
+        return
+    cost = route[1]
+    assert lower <= cost * (1 + 1e-9)
+    if equal:
+        assert lower == pytest.approx(cost, rel=1e-9)
+
+
 def _check_routes(inst, arcs):
     """Every source and phenomenon, with plain receive costs, with
     per-sensor surcharges, and with one relay banned; returns how many
-    bans hit a relay of the unbanned optimum."""
+    bans hit a relay of the unbanned optimum.  The backward search from
+    the sinks prices each case once, with no relay banned."""
     s = _Structures(inst, arcs)
     tb = s.tables
     hits = 0
@@ -329,10 +349,13 @@ def _check_routes(inst, arcs):
         # Surcharges differ per sensor, as activation surcharges do.
         surcharged = [tb.er[g] + (v % 3) * tb.em + (tb.ea if v % 2 else 0.0)
                       for v in range(s.n)]
+        priced = [(enter, _route_costs(s, g, enter)) for enter in (plain, surcharged)]
         for src in range(s.n):
             route = _route(s, src, g, plain)
             assert s.route_min(src, g) == (math.inf if route is None else route[1])
-            for enter in (plain, surcharged):
+            for enter, lowers in priced:
+                lower = lowers[src]
+                _assert_lower_bound(lower, _route(s, src, g, enter), equal=True)
                 path = _check_route(s, src, g, enter)
                 relays = [] if path is None else [b for (_, b) in path[:-1]]
                 relay = relays[0] if relays else (src + 1) % s.n
@@ -341,6 +364,7 @@ def _check_routes(inst, arcs):
                 banned[relay] = math.inf
                 detour = _check_route(s, src, g, banned)
                 assert detour is None or all(b != relay for (_, b) in detour)
+                _assert_lower_bound(lower, _route(s, src, g, banned), equal=False)
     return hits
 
 
