@@ -179,16 +179,16 @@ def _cmd_build(args) -> int:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     arcs = build_arcs(instance)
-    config = SolveConfig(
-        time_limit_s=args.time_limit,
-        node_limit=args.node_limit,
-        gap=args.gap,
-    )
     certificate = None
     if args.method == "exact":
+        config = SolveConfig(
+            time_limit_s=args.time_limit,
+            node_limit=args.node_limit,
+            gap=args.gap,
+        )
         solution, certificate = solve_exact(instance, arcs, config=config)
     elif args.method == "heuristic":
-        solution = solve_heuristic(instance, arcs, config)
+        solution = solve_heuristic(instance, arcs)
     else:
         try:
             solution = brute_force_oracle(instance, arcs, cap=args.oracle_cap)

@@ -246,12 +246,6 @@ class Instance:
 
     # -- convenience lookups -------------------------------------------------
 
-    def phenomenon_index(self, phenomenon_id: int) -> int:
-        for g, ph in enumerate(self.phenomena):
-            if ph.id == phenomenon_id:
-                return g
-        raise KeyError(f"unknown phenomenon id {phenomenon_id}")
-
     def demand_indices(self, g: int) -> tuple[int, ...]:
         """Indices of demand points that demand phenomenon index ``g``."""
         gid = self.phenomena[g].id
@@ -261,10 +255,6 @@ class Instance:
         """Number of (demand point, period, phenomenon) coverage obligations."""
         per_period = sum(len(dp.demands) for dp in self.demand_points)
         return per_period * self.periods
-
-    def sink_node(self, k: int) -> int:
-        """Global node id of sink ``k``; sensors occupy 0..len(sensors)-1."""
-        return len(self.sensors) + k
 
 
 @dataclass(frozen=True)
@@ -283,9 +273,6 @@ class ArcSets:
     comm: tuple[tuple[int, int], ...]
     to_sink: tuple[tuple[int, int], ...]
     source: Instance
-
-    def n_arcs(self) -> int:
-        return sum(len(c) for c in self.coverage) + len(self.comm) + len(self.to_sink)
 
 
 def _positions(points: Sequence[Point2D]) -> np.ndarray:
@@ -347,7 +334,6 @@ class EnergyTables:
         self.eh = instance.penalty_uncovered
         self.eg = instance.penalty_activation
         self.er = tuple(receive_energy(dev, ph, plen) for ph in instance.phenomena)
-        self.volumes = tuple(data_volume_bits(ph, plen) for ph in instance.phenomena)
         n = len(instance.sensors)
         nodes = list(instance.sensors) + list(instance.sinks)
         self.et: dict[tuple[int, int], tuple[float, ...]] = {}

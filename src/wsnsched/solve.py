@@ -7,8 +7,8 @@ Three methods with very different trust stories:
   branch-and-bound solver, so the two can check each other.
 * :func:`solve_exact` is a depth-first branch-and-bound over the sensing
   decisions; each sensed stream is then routed by choosing among that
-  commodity's feasible flows.  Returns a certificate flag that is True
-  only when the search ran to completion with gap 0.
+  commodity's simple paths to a sink.  Returns a certificate flag that is
+  True only when the search ran to completion with gap 0.
 * :func:`solve_heuristic` is a greedy weighted set cover per period and
   phenomenon with shortest-path routing and running battery accounting.
   Each round prices every candidate with one backward search from the
@@ -35,7 +35,9 @@ from .model import VarRef, parse_var_name, variable_universe
 from .validate import _Universe
 
 SOLUTION_FORMAT = "wsn-solution/1"
-BATTERY_TOL = 1e-6
+# How far any schedule a solver emits may draw past a battery.  The
+# validator accepts up to its looser ENERGY_TOL, meant for external solvers.
+BATTERY_TOL = 1e-9
 # Relative room between a heuristic round's backward price and a forward
 # route cost: far above the few ulps by which summation order moves them.
 PRICE_SLACK = 1e-9
@@ -44,7 +46,7 @@ ORACLE_CAP_DEFAULT = 40
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Limits for the exact solver; the heuristic ignores them.
+    """Limits for :func:`solve_exact`.
 
     ``node_limit`` of 0 means unlimited.
     """
@@ -197,77 +199,59 @@ class _Flow:
     cost: float
 
 
+def _charges(s: _Structures, g: int, arcs) -> dict[int, float]:
+    """Energy each sensor spends carrying one stream of phenomenon g over
+    ``arcs``: each arc's transmit energy to its tail, and the receive energy
+    to its head unless the head is a sink."""
+    et, er, n = s.tables.et, s.tables.er[g], s.n
+    charge: dict[int, float] = {}
+    for (a, b) in arcs:
+        charge[a] = charge.get(a, 0.0) + et[(a, b)][g]
+        if b < n:
+            charge[b] = charge.get(b, 0.0) + er
+    return charge
+
+
 def _make_flow(s: _Structures, g: int, chosen: tuple[tuple[int, int], ...]) -> _Flow:
-    energy: dict[int, float] = {}
-    for (a, b) in chosen:
-        energy[a] = energy.get(a, 0.0) + s.tables.et[(a, b)][g]
-        if b < s.n:
-            energy[b] = energy.get(b, 0.0) + s.tables.er[g]
-    cost = sum(energy.values())
-    return _Flow(arcs=chosen, energy=tuple(sorted(energy.items())), cost=cost)
+    energy = _charges(s, g, chosen)
+    return _Flow(arcs=chosen, energy=tuple(sorted(energy.items())),
+                 cost=sum(energy.values()))
 
 
 def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
-    """Every arc subset that routes one unit from l into the sinks.
+    """Every simple path that routes one stream from l into a sink.
 
-    Exactly one arc leaves l and every other sensor is balanced; sinks
-    absorb.  Returns (flows sorted by cost, complete); complete is False
-    when the commodity has more than ``arc_cap`` arcs and only the
-    cheapest route was produced.
+    A depth-first walk over the stream arcs that never re-enters l or a
+    sensor already on the path; a sink ends the path.  Any other unit flow
+    out of l is such a path plus cycles, which only add energy.  Returns
+    (flows sorted by (cost, arcs), complete); each flow's arcs are sorted.
+    complete is False when the commodity has more than ``arc_cap`` arcs and
+    only the cheapest route was produced.
     """
     n = s.n
-    arcs_list = [(a, b) for (a, b) in s.stream_arcs if b != l]
-    m = len(arcs_list)
-    if m == 0:
-        return [], True
-    if m > arc_cap:
+    if sum(1 for (_, b) in s.stream_arcs if b != l) > arc_cap:
         route = _route(s, l, g, [s.tables.er[g]] * n)
         return ([] if route is None else [_make_flow(s, g, tuple(sorted(route[0])))]), False
 
-    # Balance is checked as soon as the last arc touching a sensor is
-    # assigned, which kills most of the 2^m tree early.
-    last_touch: dict[int, int] = {}
-    for idx, (a, b) in enumerate(arcs_list):
-        last_touch[a] = idx
-        if b < n:
-            last_touch[b] = idx
-    close_at: dict[int, list[int]] = {}
-    for node, idx in last_touch.items():
-        close_at.setdefault(idx, []).append(node)
-
-    inflow = [0] * n
-    outflow = [0] * n
-    chosen: list[int] = []
     flows: list[_Flow] = []
+    path: list[tuple[int, int]] = []
+    on_path = {l}
 
-    def balanced(node: int) -> bool:
-        if node == l:
-            return outflow[l] == 1
-        return inflow[node] == outflow[node]
+    def walk(u: int):
+        for arc in s.out_arcs[u]:
+            b = arc[1]
+            if b in on_path:
+                continue
+            path.append(arc)
+            if b >= n:
+                flows.append(_make_flow(s, g, tuple(sorted(path))))
+            else:
+                on_path.add(b)
+                walk(b)
+                on_path.discard(b)
+            path.pop()
 
-    def rec(k: int):
-        if k == m:
-            if outflow[l] == 1:
-                flows.append(_make_flow(s, g, tuple(arcs_list[i] for i in chosen)))
-            return
-        a, b = arcs_list[k]
-        for val in (0, 1):
-            if val:
-                if a == l and outflow[l] >= 1:
-                    continue
-                outflow[a] += 1
-                if b < n:
-                    inflow[b] += 1
-                chosen.append(k)
-            if all(balanced(node) for node in close_at.get(k, ())):
-                rec(k + 1)
-            if val:
-                outflow[a] -= 1
-                if b < n:
-                    inflow[b] -= 1
-                chosen.pop()
-
-    rec(0)
+    walk(l)
     flows.sort(key=lambda f: (f.cost, f.arcs))
     return flows, True
 
@@ -280,7 +264,8 @@ class _SearchLimit(Exception):
 
 
 class _ExactSearch:
-    """DFS branch-and-bound: sensing decisions first, then stream routing.
+    """DFS branch-and-bound: sensing decisions first, then each sensed
+    stream is routed over one of its simple paths to a sink.
 
     The lower bound amortizes each candidate sensor's sensing cost (the
     activation penalty plus its cheapest route) over the open demand
@@ -729,11 +714,7 @@ def brute_force_oracle(
 # -- greedy heuristic -------------------------------------------------------------
 
 
-def solve_heuristic(
-    instance: Instance,
-    arcs: ArcSets | None = None,
-    config: SolveConfig | None = None,
-) -> Solution:
+def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution:
     """Greedy weighted set cover with shortest-path routing.
 
     Periods are processed in order; within a period, phenomena in order.
@@ -789,17 +770,13 @@ def solve_heuristic(
             if path is None:
                 return None
             arcs_p, cost = path
-            deltas: dict[int, float] = {}
-            for (a, b) in arcs_p:
-                deltas[a] = deltas.get(a, 0.0) + tb.et[(a, b)][g]
-                if b < n:
-                    deltas[b] = deltas.get(b, 0.0) + tb.er[g]
-            for v in list(deltas):
+            deltas = _charges(s, g, arcs_p)
+            for v in deltas:
                 if v != src:
                     deltas[v] += extra[v]
             bad = None
             for v in sorted(deltas):
-                if v != src and residual[v] < deltas[v] - 1e-12:
+                if v != src and residual[v] < deltas[v] - BATTERY_TOL:
                     bad = v
                     break
             if bad is None:
@@ -834,7 +811,7 @@ def solve_heuristic(
                     if route is None:
                         continue
                     arcs_p, deltas, route_cost = route
-                    if residual[i] < own + deltas.get(i, 0.0) - 1e-12:
+                    if residual[i] < own + deltas.get(i, 0.0) - BATTERY_TOL:
                         continue
                     marginal = tb.eg + own + route_cost
                     if marginal > tb.eh * len(newly):

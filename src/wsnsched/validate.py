@@ -31,6 +31,10 @@ from dataclasses import dataclass
 from .instance import ArcSets, EnergyTables, Instance, build_arcs
 from .model import VarRef
 
+# Absolute slack on the energy rows (C9, C10).  It is the acceptance bound
+# for schedules from external LP solvers, whose energies are only as exact
+# as their own feasibility tolerance; anything the package's solvers emit
+# passes it, since they keep within solve.BATTERY_TOL (1e-9).
 ENERGY_TOL = 1e-6
 _BINARY = frozenset((0.0, 1.0))
 

@@ -91,6 +91,22 @@ def trivial_instance(**kw):
     )
 
 
+def relay_chain(**kw):
+    """Coverage at sensor 0, whose only way to the sink is through sensor 1.
+
+    The optimum relays through sensor 1: e0 = EM+EA+ET = 1.23 and
+    e1 = EM+EA+ER+ET = 1.47 per period, objective adds EG.
+    """
+    return make_instance(
+        sensors=[(1.0, 5.0), (4.0, 5.0)],
+        demand_points=[(1.0, 6.0)],
+        sinks=[(7.0, 5.0)],
+        radii=(2.0,),
+        comm_radius=3.0,
+        **kw,
+    )
+
+
 def tiny_instance(seed, max_free=16, max_binaries=40):
     """Random instance small enough for exhaustive oracle enumeration.
 

@@ -7,6 +7,7 @@ import pytest
 import wsnsched as w
 from wsnsched.solve import (
     OracleCapExceeded,
+    _enumerate_flows,
     _route,
     _route_costs,
     _Structures,
@@ -14,6 +15,7 @@ from wsnsched.solve import (
 )
 from helpers import (
     make_instance,
+    relay_chain,
     tiny_instance,
     trivial_instance,
     values_by_kind,
@@ -46,11 +48,8 @@ def test_trivial_optimum_all_three_solvers():
 
 
 def test_relay_chain_optimum():
-    # Coverage at sensor 0, sink reachable only through sensor 1:
     # e0 = EM+EA+ET = 1.23, e1 = EM+EA+ER+ET = 1.47, objective 2.70 + EG.
-    inst = make_instance(
-        sensors=[(1.0, 5.0), (4.0, 5.0)], demand_points=[(1.0, 6.0)],
-        sinks=[(7.0, 5.0)], radii=(2.0,), comm_radius=3.0)
+    inst = relay_chain()
     arcs = w.build_arcs(inst)
     exact, certificate = w.solve_exact(inst, arcs)
     assert certificate
@@ -259,10 +258,7 @@ def test_exact_respects_battery_in_routing():
     # solver must drop one period rather than overdraw sensor 1.
     # Relay load per period: EM 0.5 + ER 0.24 + ET 0.48 = 1.22, activation
     # 0.25; two periods need 2.69 > 2.5.
-    inst = make_instance(
-        sensors=[(1.0, 5.0), (4.0, 5.0)], demand_points=[(1.0, 6.0)],
-        sinks=[(7.0, 5.0)], radii=(2.0,), comm_radius=3.0,
-        battery=2.5, periods=2)
+    inst = relay_chain(battery=2.5, periods=2)
     arcs = w.build_arcs(inst)
     exact, certificate = w.solve_exact(inst, arcs)
     assert certificate
@@ -275,6 +271,30 @@ def test_exact_respects_battery_in_routing():
         assert exact.values[w.VarRef("e", (i,))] <= inst.device.battery_capacity + 1e-9
 
 
+@pytest.mark.parametrize("offset", [-5e-7, -5e-10, 0.0, 5e-7])
+@pytest.mark.parametrize("build, draw, optimum", [
+    (trivial_instance, 1.23, 1.24),  # the sensor's own draw binds
+    (relay_chain, 1.47, 2.71),       # the relay's draw binds
+])
+def test_battery_boundary_all_solvers(build, draw, optimum, offset):
+    # With the battery at the binding sensor's draw plus ``offset``, every
+    # solver covers the point exactly when the draw fits within the 1e-9
+    # of README guarantee 10, and none emits an energy past battery + 1e-9.
+    inst = build(battery=draw + offset)
+    arcs = w.build_arcs(inst)
+    covered = offset > -1e-9
+    expect = optimum if covered else inst.penalty_uncovered
+    for sol in (w.solve_exact(inst, arcs)[0], w.brute_force_oracle(inst, arcs),
+                w.solve_heuristic(inst, arcs)):
+        assert w.check_feasibility(inst, arcs, sol) == [], sol.provenance
+        assert w.evaluate(inst, sol, arcs).objective == pytest.approx(
+            expect, rel=1e-12), sol.provenance
+        energies = values_by_kind(sol, "e")
+        assert all(e <= inst.device.battery_capacity + 1e-9 for e in energies.values())
+        if covered:
+            assert max(energies.values()) == pytest.approx(draw, rel=1e-12)
+
+
 def test_wall_time_is_recorded():
     inst, arcs = tiny_instance(1)
     for sol in (w.solve_exact(inst, arcs)[0], w.brute_force_oracle(inst, arcs),
@@ -283,25 +303,34 @@ def test_wall_time_is_recorded():
         assert math.isfinite(sol.wall_time_s)
 
 
-def _simple_path_min(s, src, g, enter):
-    """Minimum cost over the simple paths from src to any sink, by
-    depth-first enumeration.  A partial path is dropped once it costs at
-    least the best complete one, which loses nothing: no cost is negative."""
+def _simple_paths(s, src, g, enter, keep=lambda cost: True):
+    """Yield (arcs in path order, cost) for every simple path from src to
+    any sink, by depth-first enumeration.  A partial path whose cost fails
+    ``keep`` is dropped with every extension of it."""
     et, n = s.tables.et, s.n
-    best = math.inf
 
-    def walk(u, cost, seen):
-        nonlocal best
-        if cost >= best:
+    def walk(u, path, cost, seen):
+        if not keep(cost):
             return
         if u >= n:
-            best = cost
+            yield tuple(path), cost
             return
         for (a, b) in s.out_arcs[u]:
             if b not in seen:
-                walk(b, cost + et[(a, b)][g] + (enter[b] if b < n else 0.0), seen | {b})
+                yield from walk(b, path + [(a, b)],
+                                cost + et[(a, b)][g] + (enter[b] if b < n else 0.0),
+                                seen | {b})
 
-    walk(src, 0.0, {src})
+    yield from walk(src, [], 0.0, {src})
+
+
+def _simple_path_min(s, src, g, enter):
+    """Minimum cost over the simple paths from src to any sink.  A partial
+    path is dropped once it costs at least the best complete one, which
+    loses nothing: no cost is negative."""
+    best = math.inf
+    for _, cost in _simple_paths(s, src, g, enter, keep=lambda cost: cost < best):
+        best = cost
     return best
 
 
@@ -383,11 +412,58 @@ def test_route_matches_simple_path_enumeration_grids():
 
 
 def test_route_none_when_every_relay_is_banned():
-    inst = make_instance(
-        sensors=[(1.0, 5.0), (4.0, 5.0)], demand_points=[(1.0, 6.0)],
-        sinks=[(7.0, 5.0)], radii=(2.0,), comm_radius=3.0)
+    inst = relay_chain()
     s = _Structures(inst, w.build_arcs(inst))
     er = s.tables.er[0]
     assert _check_route(s, 0, 0, [er, er]) == ((0, 1), (1, 2))
     assert _route(s, 0, 0, [er, math.inf]) is None
     assert s.route_min(0, 0) == _route(s, 0, 0, [er, er])[1]
+
+
+def _check_flows(inst, arcs):
+    """_enumerate_flows on every commodity against the path enumeration:
+    exactly the simple paths, each once with its arcs sorted, in
+    (cost, arcs) order, each with its own cost and per-sensor energies.
+    Returns how many paths there are."""
+    s = _Structures(inst, arcs)
+    total = 0
+    for g in range(s.G):
+        plain = [s.tables.er[g]] * s.n
+        for l in range(s.n):
+            flows, complete = _enumerate_flows(s, l, g)
+            assert complete
+            paths = {tuple(sorted(path)): cost
+                     for path, cost in _simple_paths(s, l, g, plain)}
+            assert sorted(f.arcs for f in flows) == sorted(paths)
+            assert flows == sorted(flows, key=lambda f: (f.cost, f.arcs))
+            for f in flows:
+                assert f.cost == pytest.approx(paths[f.arcs], rel=1e-12)
+                assert f.cost == pytest.approx(sum(e for _, e in f.energy), rel=1e-12)
+                assert [v for v, _ in f.energy] == sorted(
+                    {a for a, _ in f.arcs} | {b for _, b in f.arcs if b < s.n})
+            total += len(flows)
+    return total
+
+
+def test_enumerate_flows_lists_simple_paths():
+    assert sum(_check_flows(*tiny_instance(seed)) for seed in range(30)) > 0
+    inst = relay_chain()
+    arcs = w.build_arcs(inst)
+    # 0 -> 1 -> sink from sensor 0, and 1 -> sink from sensor 1.
+    assert _check_flows(inst, arcs) == 2
+    flows, _ = _enumerate_flows(_Structures(inst, arcs), 0, 0)
+    assert [f.arcs for f in flows] == [((0, 1), (1, 2))]
+
+
+def test_enumerate_flows_falls_back_to_cheapest_route():
+    # bench2 grid has 236 stream arcs, far above the 18-arc cap; sensor 2
+    # has no sink in range, so its cheapest route takes a relay.
+    inst = w.scenario_instance("bench2", kind="grid", periods=1)
+    s = _Structures(inst, w.build_arcs(inst))
+    assert len(s.stream_arcs) > 18
+    plain = [s.tables.er[0]] * s.n
+    flows, complete = _enumerate_flows(s, 2, 0)
+    assert not complete
+    assert [f.arcs for f in flows] == [tuple(sorted(_route(s, 2, 0, plain)[0]))]
+    assert len(flows[0].arcs) == 2
+    assert flows[0].cost == pytest.approx(_simple_path_min(s, 2, 0, plain), rel=1e-12)
