@@ -223,7 +223,10 @@ def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
 
     A depth-first walk over the stream arcs that never re-enters l or a
     sensor already on the path; a sink ends the path.  Any other unit flow
-    out of l is such a path plus cycles, which only add energy.  Returns
+    out of l is such a path plus cycles.  A cycle adds energy and turns its
+    sensors on, which can only pay by keeping a sensor on through an idle
+    period when activation costs more than maintenance; the search does
+    not certify that case (see :meth:`_ExactSearch.run`).  Returns
     (flows sorted by (cost, arcs), complete); each flow's arcs are sorted.
     complete is False when the commodity has more than ``arc_cap`` arcs and
     only the cheapest route was produced.
@@ -335,7 +338,13 @@ class _ExactSearch:
             self._branch_r(0)
         except _SearchLimit:
             completed = False
-        return completed and not self.truncated and self.cfg.gap == 0.0
+        # The search keeps each sensor on only where it senses or carries a
+        # stream.  When switching on costs more than staying on, keeping a
+        # sensor on through an idle period between two active ones can be
+        # cheaper, and the search never tries that.
+        minimal_activity = self.ea <= self.em or self.s.T < 3
+        return (completed and not self.truncated and self.cfg.gap == 0.0
+                and minimal_activity)
 
     # -- sensing phase --
 
@@ -496,7 +505,10 @@ def solve_exact(
     """Minimize the objective by branch and bound.
 
     Returns (solution, certificate); the certificate is True only when the
-    search completed with gap 0, in which case the solution is optimal.
+    search completed with gap 0, in which case the solution is optimal.  It
+    is never True when activation energy exceeds maintenance energy and
+    there are at least three periods: there a sensor kept on through an
+    idle period can save a switch-on, and the search does not explore that.
     """
     if arcs is None:
         arcs = build_arcs(instance)
@@ -517,14 +529,17 @@ def brute_force_oracle(
     arcs: ArcSets | None = None,
     cap: int = ORACLE_CAP_DEFAULT,
 ) -> Solution:
-    """Provably optimal solution by exhaustive enumeration.
+    """Optimal solution by exhaustive enumeration.
 
     Enumerates every assignment of the independent binaries (x, z, r) and
     derives the forced completion of the dependent ones: y is the minimal
     activity pattern consistent with the assignment, w its transitions, h
-    the uncovered indicators, e the accounted energy.  Because maintenance,
-    activation and penalty costs are nonnegative, some optimal solution
-    always has this shape, so the enumeration loses nothing.  Ties go to
+    the uncovered indicators, e the accounted energy.  When activation
+    energy does not exceed maintenance energy, or there are fewer than
+    three periods, some optimal solution always has this shape, so the
+    enumeration loses nothing.  Otherwise keeping a sensor on through an
+    idle period can save a switch-on, and the result is optimal only among
+    schedules with minimal activity.  Ties go to
     the lexicographically smallest (x, z, r) assignment in model variable
     order, and with positive fixed energies the completion is the unique
     optimal one.

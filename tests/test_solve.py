@@ -163,6 +163,48 @@ def test_nonzero_gap_never_certifies():
     assert w.check_feasibility(inst, arcs, solution) == []
 
 
+def _triangle(**kw):
+    # Three sensors pairwise share the three demand points, so two must
+    # sense in every period; sensor 2 reaches the sink only through a relay.
+    kw.setdefault("periods", 3)
+    return make_instance(
+        sensors=[(4.0, 5.0), (6.0, 5.0), (5.0, 6.7)],
+        demand_points=[(5.0, 5.0), (5.5, 5.85), (4.5, 5.85)],
+        sinks=[(5.0, 1.0)],
+        radii=(1.05,),
+        comm_radius=5.0,
+        battery=3.6,
+        **kw,
+    )
+
+
+def test_no_certificate_when_an_idle_period_can_pay():
+    # Sensing all three periods draws EM 1.5 + EA 0.8 + ET 1.44 = 3.74 > 3.6,
+    # so some sensor senses in periods 0 and 2 only.  With activation 0.8
+    # above maintenance 0.5, keeping it on through period 1 is feasible and
+    # saves 0.3, but the search keeps activity minimal: no certificate.
+    inst = _triangle(activation=0.8)
+    arcs = w.build_arcs(inst)
+    exact, certificate = w.solve_exact(inst, arcs)
+    assert not certificate
+    y = values_by_kind(exact, "y")
+    gaps = [(i, t) for (i, t) in sorted(y)
+            if (i, t + 1) not in y and (i, t + 2) in y]
+    assert gaps
+    i, t = gaps[0]
+    bridged = dict(exact.values)
+    bridged[w.VarRef("y", (i, t + 1))] = 1
+    del bridged[w.VarRef("w", (i, t + 2))]
+    bridged[w.VarRef("e", (i,))] += 0.5 - 0.8
+    assert w.check_feasibility(inst, arcs, bridged) == []
+    assert w.evaluate(inst, bridged, arcs).objective == pytest.approx(
+        w.evaluate(inst, exact, arcs).objective - 0.3, rel=1e-12)
+    # Minimal activity is optimal again at activation <= maintenance, or
+    # with no room for an idle period between two active ones.
+    for kw in (dict(activation=0.5), dict(activation=0.8, periods=2)):
+        assert w.solve_exact(_triangle(**kw))[1], kw
+
+
 def test_solvers_are_deterministic():
     inst, arcs = tiny_instance(7)
     assert w.solve_exact(inst, arcs)[0].values == w.solve_exact(inst, arcs)[0].values
