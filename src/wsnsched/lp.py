@@ -4,13 +4,20 @@ The dialect is the classic CPLEX LP text format restricted to what the
 models need: a ``Minimize`` section, labelled constraints, a ``Bounds``
 section for the continuous energy variables and a ``Binaries`` section.
 Export is deterministic and numbers are written with ``repr`` precision,
-so export -> parse -> export reproduces the file byte for byte.  Import
-rejects a literal that overflows to infinity, since export could not
-write it back.
+so export -> parse -> export reproduces the file byte for byte.  A bound
+of (-inf, inf) is written ``name free``.
+
+Import checks each line once against an anchored pattern of tokens and
+splits it with ``findall``.  A section's tokens are a flat list of strings
+with a parallel list of line numbers; a token's column is recomputed from
+its source line only when an error is raised.  Numbers take ASCII digits
+only, as variable names do.  A literal that overflows to infinity is
+rejected, since export could not write it back.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 
@@ -78,7 +85,9 @@ def export_lp(model: IlpModel) -> str:
     if model.bounds:
         out.append("Bounds")
         for ref, lo, hi in model.bounds:
-            if math.isinf(hi):
+            if lo == -math.inf and hi == math.inf:
+                out.append(f" {ref.name} free")
+            elif math.isinf(hi):
                 out.append(f" {ref.name} >= {_fmt(lo)}")
             else:
                 out.append(f" {_fmt(lo)} <= {ref.name} <= {_fmt(hi)}")
@@ -94,11 +103,16 @@ def export_lp(model: IlpModel) -> str:
 
 # -- import --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+_TOKEN = (
     r"[A-Za-z][A-Za-z0-9_.]*"     # names and keywords
-    r"|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"  # numbers
+    r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # numbers
     r"|<=|>=|=<|=>|[<>=+\-:]"
 )
+_TOKEN_RE = re.compile(_TOKEN)
+# Tokens with optional whitespace around them.  Each token is atomic, so it
+# matches as _TOKEN_RE.match would, and a line's match ends where scanning
+# it token by token fails.
+_LINE_RE = re.compile(rf"(?:\s*(?>{_TOKEN}))*\s*")
 
 _SENSES = {"<": "<=", "<=": "<=", "=<": "<=", ">": ">=", ">=": ">=", "=>": ">=", "=": "="}
 
@@ -113,125 +127,118 @@ _SECTION_WORDS = {
 }
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize_line(line: str, lineno: int, out: list[_Token]) -> None:
-    pos = 0
-    while pos < len(line):
-        ch = line[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "\\":  # comment to end of line
-            return
-        m = _TOKEN_RE.match(line, pos)
-        if not m:
-            raise LpParseError(f"unexpected character {ch!r}", lineno, pos + 1)
-        out.append(_Token(m.group(0), lineno, m.start() + 1))
-        pos = m.end()
-
-
 def _is_number(text: str) -> bool:
-    return text[0].isdigit() or text[0] == "."
+    return text[0] in "0123456789."
 
 
-def _number(tok: _Token) -> float:
-    """The token's value; a literal that overflows could not be written back."""
-    value = float(tok.text)
-    if math.isinf(value):
-        raise LpParseError(f"number {tok.text} is out of range", tok.line, tok.col)
-    return value
+class _Section:
+    """One section's tokens: their texts and line numbers as parallel lists.
 
+    Parsing walks the lists by index.  A token's column is recomputed from
+    its source line only for an error.  ``names`` is shared by the sections
+    of one file and maps each variable name to its one :class:`VarRef`.
+    """
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, lines: list[str], names: dict[str, VarRef]):
+        self.lines = lines
+        self.names = names
+        self.toks: list[str] = []
+        self.nos: list[int] = []
+
+    def error(self, message: str, k: int, after: bool = False) -> LpParseError:
+        """An error at token k, or just after it."""
+        lineno = self.nos[k]
+        nth = k - bisect.bisect_left(self.nos, lineno)
+        code = self.lines[lineno - 1].split("\\", 1)[0]
+        match = list(_TOKEN_RE.finditer(code))[nth]
+        return LpParseError(message, lineno, (match.end() if after else match.start()) + 1)
+
+    def token(self, k: int, stop: int) -> str:
+        if k < stop:
+            return self.toks[k]
         # Running out of tokens ends the last line read, not the file.
-        last = tokens[-1] if tokens else _Token("", 1, 1)
-        self.end_line = last.line
-        self.end_col = last.col + len(last.text)
+        raise self.error("unexpected end of line", stop - 1, after=True)
 
-    def peek(self, ahead: int = 0) -> _Token | None:
-        k = self.pos + ahead
-        return self.tokens[k] if k < len(self.tokens) else None
+    def number(self, k: int) -> float:
+        """Token k's value; a literal that overflows could not be written back."""
+        value = float(self.toks[k])
+        if math.isinf(value):
+            raise self.error(f"number {self.toks[k]} is out of range", k)
+        return value
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise LpParseError("unexpected end of line", self.end_line, self.end_col)
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> LpParseError:
-        tok = self.peek()
-        if tok is None:
-            return LpParseError(message, self.end_line, self.end_col)
-        return LpParseError(message, tok.line, tok.col)
-
-    def parse_signed_number(self) -> float:
+    def signed_number(self, k: int, stop: int) -> tuple[float, int]:
+        """The number at token k after any signs, and the index past it."""
         sign = 1.0
-        tok = self.next()
-        while tok.text in ("+", "-"):
-            if tok.text == "-":
+        tok = self.token(k, stop)
+        while tok in ("+", "-"):
+            if tok == "-":
                 sign = -sign
-            tok = self.next()
-        if not _is_number(tok.text):
-            raise LpParseError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-        return sign * _number(tok)
+            k += 1
+            tok = self.token(k, stop)
+        if not _is_number(tok):
+            raise self.error(f"expected a number, found {tok!r}", k)
+        return sign * self.number(k), k + 1
 
-    def parse_expression(self) -> list[tuple[VarRef, float]]:
-        """Terms up to (not consuming) a sense token or end of tokens."""
+    def var(self, k: int) -> VarRef:
+        tok = self.toks[k]
+        ref = self.names.get(tok)
+        if ref is None:
+            try:
+                ref = self.names[tok] = parse_var_name(tok)
+            except ValueError:
+                raise self.error(f"unknown variable {tok!r}", k)
+        return ref
+
+    def bound_var(self, k: int, stop: int) -> VarRef:
+        tok = self.token(k, stop)
+        ref = self.var(k)
+        if ref.kind != "e":
+            raise self.error(f"{tok} is binary and cannot be bounded", k)
+        return ref
+
+    def expression(self, k: int) -> tuple[list[tuple[VarRef, float]], int]:
+        """Terms from token k up to (not at) a sense token or the end, and
+        the index where they stop."""
+        toks, names = self.toks, self.names
         terms: list[tuple[VarRef, float]] = []
         sign = 1.0
         coef: float | None = None
-        coef_tok: _Token | None = None
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text in _SENSES:
+        while k < len(toks):
+            tok = toks[k]
+            if tok in _SENSES:
                 break
-            self.pos += 1
-            if tok.text in ("+", "-"):
+            if tok == "+" or tok == "-":
                 if coef is not None:
-                    raise LpParseError("dangling coefficient", tok.line, tok.col)
-                if tok.text == "-":
+                    raise self.error("dangling coefficient", k)
+                if tok == "-":
                     sign = -sign
-            elif _is_number(tok.text):
+            elif _is_number(tok):
                 if coef is not None:
-                    raise LpParseError("two coefficients in a row", tok.line, tok.col)
-                coef = _number(tok)
-                coef_tok = tok
-            elif tok.text == ":":
-                raise LpParseError("unexpected ':'", tok.line, tok.col)
+                    raise self.error("two coefficients in a row", k)
+                coef = self.number(k)
+                coef_at = k
+            elif tok == ":":
+                raise self.error("unexpected ':'", k)
             else:
-                try:
-                    ref = parse_var_name(tok.text)
-                except ValueError:
-                    raise LpParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-                terms.append((ref, sign * (1.0 if coef is None else coef)))
+                ref = names.get(tok) or self.var(k)
+                terms.append((ref, sign if coef is None else sign * coef))
                 sign = 1.0
                 coef = None
+            k += 1
         if coef is not None:
-            raise LpParseError(
-                "coefficient without a variable", coef_tok.line, coef_tok.col)
-        return terms
+            raise self.error("coefficient without a variable", coef_at)
+        return terms, k
 
 
-def _split_sections(text: str) -> dict[str, list[_Token]]:
-    """Group tokens by section, validating section order."""
-    sections: dict[str, list[_Token]] = {}
-    current: str | None = None
+def _split_sections(text: str, names: dict[str, VarRef]) -> dict[str, _Section]:
+    """Group tokens by section, validating characters and section order."""
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     ended = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        bare = raw.split("\\", 1)[0].strip()
+        code = raw.split("\\", 1)[0]  # comment to end of line
+        bare = code.strip()
         if not bare:
             continue
         word = _SECTION_WORDS.get(bare.lower())
@@ -246,18 +253,24 @@ def _split_sections(text: str) -> dict[str, list[_Token]]:
                 raise LpParseError("content after End", lineno, 1)
             if word in sections:
                 raise LpParseError(f"duplicate section {bare!r}", lineno, 1)
-            sections[word] = []
-            current = word
+            sections[word] = current = _Section(lines, names)
             continue
         if ended:
             raise LpParseError("content after End", lineno, 1)
         if current is None:
             raise LpParseError("content before Minimize", lineno, 1)
-        _tokenize_line(raw, lineno, sections[current])
+        end = _LINE_RE.match(code).end()
+        if end < len(code):
+            raise LpParseError(f"unexpected character {code[end]!r}", lineno, end + 1)
+        found = _TOKEN_RE.findall(code)
+        current.toks += found
+        current.nos += [lineno] * len(found)
     if not ended:
         raise LpParseError("missing End", len(lines) + 1, 1)
     if "objective" not in sections:
         raise LpParseError("missing Minimize section", len(lines) + 1, 1)
+    for word in ("constraints", "bounds", "binaries"):
+        sections.setdefault(word, _Section(lines, names))
     return sections
 
 
@@ -268,134 +281,94 @@ def parse_lp(text: str) -> IlpModel:
     declarations missing from Bounds/Binaries get LP defaults (binary for
     the binary kinds, [0, inf) for energy variables).
     """
-    sections = _split_sections(text)
+    names: dict[str, VarRef] = {}
+    sections = _split_sections(text, names)
 
     # Objective.
-    p = _Parser(sections["objective"])
-    first, second = p.peek(0), p.peek(1)
-    if first is not None and second is not None and second.text == ":":
-        if _is_number(first.text) or first.text in _SENSES or first.text in ("+", "-"):
-            raise LpParseError("malformed objective label", first.line, first.col)
-        p.pos += 2
-    objective = tuple(p.parse_expression())
-    if p.peek() is not None:
-        raise p.error("unexpected token after objective")
+    sec = sections["objective"]
+    toks = sec.toks
+    k = 0
+    if len(toks) > 1 and toks[1] == ":":
+        if _is_number(toks[0]) or toks[0] in _SENSES or toks[0] in ("+", "-"):
+            raise sec.error("malformed objective label", 0)
+        k = 2
+    terms, k = sec.expression(k)
+    if k < len(toks):
+        raise sec.error("unexpected token after objective", k)
+    objective = tuple(terms)
 
     # Constraints.
     constraints: list[LinearConstraint] = []
-    p = _Parser(sections.get("constraints", []))
-    while p.peek() is not None:
-        name_tok = p.next()
-        colon = p.peek()
-        if colon is None or colon.text != ":":
-            raise LpParseError("expected 'label:' before constraint",
-                               name_tok.line, name_tok.col)
-        p.pos += 1
-        terms = p.parse_expression()
-        sense_tok = p.peek()
-        if sense_tok is None:
-            raise LpParseError("constraint missing its sense", name_tok.line, name_tok.col)
-        p.pos += 1
-        sense = _SENSES[sense_tok.text]
-        rhs = p.parse_signed_number()
+    sec = sections["constraints"]
+    toks = sec.toks
+    k = 0
+    while k < len(toks):
+        if k + 1 == len(toks) or toks[k + 1] != ":":
+            raise sec.error("expected 'label:' before constraint", k)
+        terms, at = sec.expression(k + 2)
+        if at == len(toks):
+            raise sec.error("constraint missing its sense", k)
+        rhs, stop = sec.signed_number(at + 1, len(toks))
         if not terms:
-            raise LpParseError("constraint has no terms", name_tok.line, name_tok.col)
-        constraints.append(LinearConstraint(name_tok.text, tuple(terms), sense, rhs))
+            raise sec.error("constraint has no terms", k)
+        constraints.append(LinearConstraint(toks[k], tuple(terms), _SENSES[toks[at]], rhs))
+        k = stop
 
     # Bounds: one variable's range per line.
     bounds: dict[VarRef, tuple[float, float]] = {}
-    bound_order: list[VarRef] = []
-    toks = sections.get("bounds", [])
-    by_line: dict[int, list[_Token]] = {}
-    for tok in toks:
-        by_line.setdefault(tok.line, []).append(tok)
-    for lineno in sorted(by_line):
-        p = _Parser(by_line[lineno])  # one bound per line
-        first = p.peek()
-        if _is_number(first.text) or first.text in ("+", "-"):
-            lo = p.parse_signed_number()
-            op = p.next()
-            if _SENSES.get(op.text) != "<=":
-                raise LpParseError("expected '<=' in bound", op.line, op.col)
-            name_tok = p.next()
-            ref = _bound_var(name_tok)
-            op = p.next()
-            if _SENSES.get(op.text) != "<=":
-                raise LpParseError("expected '<=' in bound", op.line, op.col)
-            hi = p.parse_signed_number()
+    sec = sections["bounds"]
+    toks = sec.toks
+    k = 0
+    while k < len(toks):
+        stop = bisect.bisect_right(sec.nos, sec.nos[k], k)  # this line's tokens
+        if _is_number(toks[k]) or toks[k] in ("+", "-"):
+            lo, k = sec.signed_number(k, stop)
+            if _SENSES.get(sec.token(k, stop)) != "<=":
+                raise sec.error("expected '<=' in bound", k)
+            ref = sec.bound_var(k + 1, stop)
+            if _SENSES.get(sec.token(k + 2, stop)) != "<=":
+                raise sec.error("expected '<=' in bound", k + 2)
+            hi, k = sec.signed_number(k + 3, stop)
         else:
-            name_tok = p.next()
-            ref = _bound_var(name_tok)
-            nxt = p.peek()
-            if nxt is not None and nxt.text.lower() == "free":
-                p.pos += 1
+            ref = sec.bound_var(k, stop)
+            if k + 1 < stop and toks[k + 1].lower() == "free":
                 lo, hi = -math.inf, math.inf
+                k += 2
             else:
-                op = p.next()
-                sense = _SENSES.get(op.text)
-                if sense == "<=":
-                    lo, hi = 0.0, p.parse_signed_number()
-                elif sense == ">=":
-                    lo, hi = p.parse_signed_number(), math.inf
-                elif sense == "=":
-                    lo = hi = p.parse_signed_number()
-                else:
-                    raise LpParseError("malformed bound", op.line, op.col)
-        if p.peek() is not None:
-            raise p.error("unexpected token after bound")
-        if ref not in bounds:
-            bound_order.append(ref)
+                sense = _SENSES.get(sec.token(k + 1, stop))
+                if sense is None:
+                    raise sec.error("malformed bound", k + 1)
+                value, k = sec.signed_number(k + 2, stop)
+                lo, hi = {"<=": (0.0, value), ">=": (value, math.inf), "=": (value, value)}[sense]
+        if k < stop:
+            raise sec.error("unexpected token after bound", k)
         bounds[ref] = (lo, hi)
 
     # Binaries: bare names in declaration order.
     binaries: list[VarRef] = []
-    seen: set[VarRef] = set()
-    p = _Parser(sections.get("binaries", []))
-    while p.peek() is not None:
-        tok = p.next()
-        try:
-            ref = parse_var_name(tok.text)
-        except ValueError:
-            raise LpParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+    seen: set[str] = set()
+    sec = sections["binaries"]
+    for k, tok in enumerate(sec.toks):
+        ref = sec.var(k)
         if ref.kind == "e":
-            raise LpParseError(f"{tok.text} is continuous, not binary", tok.line, tok.col)
-        if ref in seen:
-            raise LpParseError(f"duplicate binary {tok.text}", tok.line, tok.col)
-        seen.add(ref)
+            raise sec.error(f"{tok} is continuous, not binary", k)
+        if tok in seen:
+            raise sec.error(f"duplicate binary {tok}", k)
+        seen.add(tok)
         binaries.append(ref)
 
-    # Assemble the variable list: declared binaries, declared continuous,
-    # then anything referenced but never declared, in appearance order.
-    variables: list[VarRef] = list(binaries)
-    declared = set(binaries)
-    for ref in bound_order:
-        variables.append(ref)
-        declared.add(ref)
-    referenced: list[VarRef] = [ref for ref, _ in objective]
-    for c in constraints:
-        referenced += [ref for ref, _ in c.terms]
-    for ref in referenced:
-        if ref not in declared:
-            declared.add(ref)
+    # The variable list: declared binaries, declared continuous, then
+    # anything referenced but never declared, in order of first appearance.
+    variables = binaries + list(bounds)
+    for name, ref in names.items():
+        if name not in seen and ref not in bounds:
             variables.append(ref)
             if ref.kind == "e":
-                bound_order.append(ref)
                 bounds[ref] = (0.0, math.inf)
 
-    bound_items = tuple((ref, bounds[ref][0], bounds[ref][1]) for ref in bound_order)
     return IlpModel(
         variables=tuple(variables),
         objective=objective,
         constraints=tuple(constraints),
-        bounds=bound_items,
+        bounds=tuple((ref, lo, hi) for ref, (lo, hi) in bounds.items()),
     )
-
-
-def _bound_var(tok: _Token) -> VarRef:
-    try:
-        ref = parse_var_name(tok.text)
-    except ValueError:
-        raise LpParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-    if ref.kind != "e":
-        raise LpParseError(f"{tok.text} is binary and cannot be bounded", tok.line, tok.col)
-    return ref

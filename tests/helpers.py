@@ -107,6 +107,16 @@ def relay_chain(**kw):
     )
 
 
+def two_sink_instance():
+    """Three sensors, two phenomena (one point demands both) and two sinks,
+    over three periods."""
+    return make_instance(
+        sensors=[(2.0, 2.0), (5.0, 5.0), (8.0, 2.0)],
+        demand_points=[((2.0, 3.0), (0,)), ((5.0, 6.0), (0, 1))],
+        sinks=[(0.0, 0.0), (10.0, 0.0)],
+        radii=(2.0, 3.0), periods=3, comm_radius=5.0, transmit_coef=1e-6)
+
+
 def tiny_instance(seed, max_free=16, max_binaries=40):
     """Random instance small enough for exhaustive oracle enumeration.
 

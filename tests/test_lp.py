@@ -6,7 +6,7 @@ import pytest
 
 import wsnsched as w
 from wsnsched.lp import LpParseError
-from helpers import make_instance, tiny_instance, trivial_instance
+from helpers import tiny_instance, trivial_instance, two_sink_instance
 
 GOLDEN = Path(__file__).parent / "data" / "trivial_model.lp"
 
@@ -48,11 +48,7 @@ def test_roundtrip_small_models():
 
 
 def test_roundtrip_multi_phenomenon_multi_sink():
-    inst = make_instance(
-        sensors=[(2.0, 2.0), (5.0, 5.0), (8.0, 2.0)],
-        demand_points=[((2.0, 3.0), (0,)), ((5.0, 6.0), (0, 1))],
-        sinks=[(0.0, 0.0), (10.0, 0.0)],
-        radii=(2.0, 3.0), periods=3, comm_radius=5.0, transmit_coef=1e-6)
+    inst = two_sink_instance()
     model = w.build_model(inst, w.build_arcs(inst))
     text = w.export_lp(model)
     back = w.parse_lp(text)
@@ -170,3 +166,18 @@ def test_constraint_missing_rhs_error_column():
     with pytest.raises(LpParseError, match="end of line") as err:
         w.parse_lp(text)
     assert (err.value.line, err.value.col) == (4, 12)
+
+
+def test_free_bound_roundtrip():
+    model = w.parse_lp("Minimize\n obj: e_i0\nBounds\n e_i0 free\nEnd\n")
+    assert model.bounds == ((w.VarRef("e", (0,)), -float("inf"), float("inf")),)
+    text = w.export_lp(model)
+    assert " e_i0 free\n" in text
+    assert w.export_lp(w.parse_lp(text)) == text
+
+
+def test_numbers_take_ascii_digits_only():
+    # U+0663, ARABIC-INDIC DIGIT THREE: float() reads it as 3.
+    with pytest.raises(LpParseError, match="unexpected character") as err:
+        w.parse_lp("Minimize\n obj: ٣ e_i0\nEnd\n")
+    assert (err.value.line, err.value.col) == (2, 7)
