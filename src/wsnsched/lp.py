@@ -109,10 +109,11 @@ _TOKEN = (
     r"|<=|>=|=<|=>|[<>=+\-:]"
 )
 _TOKEN_RE = re.compile(_TOKEN)
-# Tokens with optional whitespace around them.  Each token is atomic, so it
-# matches as _TOKEN_RE.match would, and a line's match ends where scanning
-# it token by token fails.
-_LINE_RE = re.compile(rf"(?:\s*(?>{_TOKEN}))*\s*")
+# Tokens with optional whitespace around them.  The trailing \s* cannot
+# fail, so the greedy loop never backtracks into a token: each token matches
+# as _TOKEN_RE.match would, and a line's match ends where scanning it token
+# by token fails.
+_LINE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 _SENSES = {"<": "<=", "<=": "<=", "=<": "<=", ">": ">=", ">=": ">=", "=>": ">=", "=": "="}
 
@@ -339,7 +340,12 @@ def parse_lp(text: str) -> IlpModel:
                 if sense is None:
                     raise sec.error("malformed bound", k + 1)
                 value, k = sec.signed_number(k + 2, stop)
-                lo, hi = {"<=": (0.0, value), ">=": (value, math.inf), "=": (value, value)}[sense]
+                if sense == "<=":
+                    lo, hi = 0.0, value
+                elif sense == ">=":
+                    lo, hi = value, math.inf
+                else:
+                    lo, hi = value, value
         if k < stop:
             raise sec.error("unexpected token after bound", k)
         bounds[ref] = (lo, hi)
