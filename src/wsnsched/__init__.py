@@ -50,6 +50,7 @@ from .model import (
     build_model,
     model_stats,
     parse_var_name,
+    universe_size,
     variable_universe,
 )
 from .report import (
@@ -96,7 +97,7 @@ __all__ = [
     "scenario_config", "scenario_instance", "transmit_energy",
     "LpParseError", "export_lp", "parse_lp",
     "IlpModel", "LinearConstraint", "VarRef", "build_model", "model_stats",
-    "parse_var_name", "variable_universe",
+    "parse_var_name", "universe_size", "variable_universe",
     "ExperimentRow", "ExperimentSpec", "csv_to_rows", "render_routes",
     "render_schedule", "route_edges", "rows_to_csv", "run_experiment",
     "save_views",

@@ -24,7 +24,7 @@ from .instance import (
 )
 from .ioutil import atomic_write_text
 from .lp import export_lp
-from .model import build_model, model_stats
+from .model import build_model, model_stats, universe_size
 from .report import load_spec, run_experiment, save_rows, save_views
 from .solve import (
     OracleCapExceeded,
@@ -42,6 +42,25 @@ from .validate import (
     evaluate,
     violations_to_json,
 )
+
+
+# The most model variables a command accepts.  Building and exporting a model
+# takes about 1.7 KB per variable (peak RSS of `wsnsched build` on bench2
+# grid T=3, 55 032 variables, 130 MB against 37 MB at start), so a model at
+# the cap needs about 1.7 GB.
+MAX_VARIABLES = 1_000_000
+
+
+def _load(path):
+    """The instance at ``path`` and its arcs; a ValueError if its model
+    would have more than MAX_VARIABLES variables."""
+    instance = load_instance(path)
+    arcs = build_arcs(instance)
+    size = universe_size(instance, arcs)
+    if size > MAX_VARIABLES:
+        raise ValueError(f"the model of {path} would have {size} variables, "
+                         f"above the cap of {MAX_VARIABLES}")
+    return instance, arcs
 
 
 def _add_common_gen_flags(p: argparse.ArgumentParser) -> None:
@@ -162,8 +181,7 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    instance = load_instance(args.instance)
-    arcs = build_arcs(instance)
+    instance, arcs = _load(args.instance)
     model = build_model(instance, arcs,
                         per_phenomenon_fixed_energy=args.per_phenomenon_fixed_energy)
     atomic_write_text(args.lp, export_lp(model))
@@ -177,8 +195,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    arcs = build_arcs(instance)
+    instance, arcs = _load(args.instance)
     certificate = None
     if args.method == "exact":
         config = SolveConfig(
@@ -220,8 +237,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    instance = load_instance(args.instance)
-    arcs = build_arcs(instance)
+    instance, arcs = _load(args.instance)
     if args.external:
         solution = load_external_solution(args.solution, instance, arcs)
     else:
@@ -253,8 +269,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    instance = load_instance(args.instance)
-    arcs = build_arcs(instance)
+    instance, arcs = _load(args.instance)
     solution = load_solution(args.solution, instance, arcs)
     kinds = ("schedule", "routes") if args.kind == "both" else (args.kind,)
     periods = None if args.period is None else [args.period]

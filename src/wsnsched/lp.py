@@ -7,11 +7,11 @@ Export is deterministic and numbers are written with ``repr`` precision,
 so export -> parse -> export reproduces the file byte for byte.  A bound
 of (-inf, inf) is written ``name free``.
 
-Import checks each line once against an anchored pattern of tokens and
-splits it with ``findall``.  A section's tokens are a flat list of strings
-with a parallel list of line numbers; a token's column is recomputed from
-its source line only when an error is raised.  Numbers take ASCII digits
-only, as variable names do.  A literal that overflows to infinity is
+Import splits each section's lines into a flat list of token strings with
+one ``findall``; the lines are well formed exactly when the tokens cover
+every character but whitespace.  A token's line and column are recomputed
+from its source line only when an error is raised.  Numbers take ASCII
+digits only, as variable names do.  A literal that overflows to infinity is
 rejected, since export could not write it back.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
+from functools import cached_property
 
 from .model import IlpModel, LinearConstraint, VarRef, parse_var_name
 
@@ -47,56 +48,56 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _term_text(coef: float, name: str) -> str:
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _coef_text(coef: float) -> str:
+    """The sign and magnitude written before a variable name; 1 is implied."""
     mag = abs(coef)
-    if mag == 1.0:
-        return name
-    return f"{_fmt(mag)} {name}"
-
-
-def _expr_lines(first_prefix: str, terms) -> list[str]:
-    """Render a linear expression, wrapping after a fixed number of terms."""
-    lines = []
-    current = first_prefix
-    for k, (ref, coef) in enumerate(terms):
-        if k == 0:
-            sign = "- " if coef < 0 else ""
-            current += sign + _term_text(coef, ref.name)
-        else:
-            if k % _TERMS_PER_LINE == 0:
-                lines.append(current)
-                current = "      "
-                current += ("- " if coef < 0 else "+ ") + _term_text(coef, ref.name)
-            else:
-                current += (" - " if coef < 0 else " + ") + _term_text(coef, ref.name)
-    lines.append(current)
-    return lines
+    return ("- " if coef < 0 else "+ ") + ("" if mag == 1.0 else f"{_fmt(mag)} ")
 
 
 def export_lp(model: IlpModel) -> str:
-    """Serialize a model to LP text."""
-    out = [HEADER_COMMENT, "Minimize"]
-    out += _expr_lines(" obj: ", model.objective)
-    out.append("Subject To")
-    for c in model.constraints:
-        lines = _expr_lines(f" {c.tag}: ", c.terms)
-        lines[-1] += f" {c.sense} {_fmt(c.rhs)}"
-        out += lines
+    """Serialize a model to LP text.  Names and numbers are formatted once
+    per call, memoized by equality: equal refs write the same name."""
+    names = _Memo(lambda ref: ref.name)
+    coefs = _Memo(_coef_text)
+    nums = _Memo(_fmt)
+
+    def expr(prefix: str, terms) -> str:
+        """A linear expression, wrapped after a fixed number of terms."""
+        parts = [coefs[coef] + names[ref] for ref, coef in terms]
+        if parts and parts[0][0] == "+":
+            parts[0] = parts[0][2:]  # a leading plus is implied
+        if len(parts) <= _TERMS_PER_LINE:
+            return prefix + " ".join(parts)
+        return prefix + "\n      ".join(" ".join(parts[k:k + _TERMS_PER_LINE])
+                                       for k in range(0, len(parts), _TERMS_PER_LINE))
+
+    out = [HEADER_COMMENT, "Minimize", expr(" obj: ", model.objective), "Subject To"]
+    out += [f"{expr(f' {c.tag}: ', c.terms)} {c.sense} {nums[c.rhs]}" for c in model.constraints]
     if model.bounds:
         out.append("Bounds")
         for ref, lo, hi in model.bounds:
             if lo == -math.inf and hi == math.inf:
-                out.append(f" {ref.name} free")
+                out.append(f" {names[ref]} free")
             elif math.isinf(hi):
-                out.append(f" {ref.name} >= {_fmt(lo)}")
+                out.append(f" {names[ref]} >= {nums[lo]}")
             else:
-                out.append(f" {_fmt(lo)} <= {ref.name} <= {_fmt(hi)}")
-    binaries = [ref for ref in model.variables if model.is_binary(ref)]
+                out.append(f" {nums[lo]} <= {names[ref]} <= {nums[hi]}")
+    binaries = [names[ref] for ref in model.variables if model.is_binary(ref)]
     if binaries:
         out.append("Binaries")
         for k in range(0, len(binaries), _NAMES_PER_LINE):
-            chunk = binaries[k:k + _NAMES_PER_LINE]
-            out.append(" " + " ".join(ref.name for ref in chunk))
+            out.append(" " + " ".join(binaries[k:k + _NAMES_PER_LINE]))
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -109,10 +110,10 @@ _TOKEN = (
     r"|<=|>=|=<|=>|[<>=+\-:]"
 )
 _TOKEN_RE = re.compile(_TOKEN)
-# Tokens with optional whitespace around them.  The trailing \s* cannot
-# fail, so the greedy loop never backtracks into a token: each token matches
-# as _TOKEN_RE.match would, and a line's match ends where scanning it token
-# by token fails.
+# Tokens with optional whitespace around them, to find the first character
+# no token covers.  The trailing \s* cannot fail, so the greedy loop never
+# backtracks into a token: each token matches as _TOKEN_RE.match would, and
+# the match ends where scanning the text token by token fails.
 _LINE_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 
 _SENSES = {"<": "<=", "<=": "<=", "=<": "<=", ">": ">=", ">=": ">=", "=>": ">=", "=": "="}
@@ -133,24 +134,44 @@ def _is_number(text: str) -> bool:
 
 
 class _Section:
-    """One section's tokens: their texts and line numbers as parallel lists.
+    """One section's lines, split into a flat list of tokens when it ends.
 
-    Parsing walks the lists by index.  A token's column is recomputed from
-    its source line only for an error.  ``names`` is shared by the sections
-    of one file and maps each variable name to its one :class:`VarRef`.
+    Parsing walks the tokens by index; their line numbers and columns are
+    recomputed only as needed.  ``names`` is shared by the sections of one
+    file and maps each variable name to its one :class:`VarRef`.
     """
 
-    def __init__(self, lines: list[str], names: dict[str, VarRef]):
-        self.lines = lines
+    def __init__(self, names: dict[str, VarRef]):
         self.names = names
+        self.codes: list[str] = []  # non-blank lines, comments cut off
+        self.linenos: list[int] = []
         self.toks: list[str] = []
-        self.nos: list[int] = []
+
+    def close(self) -> None:
+        """Split the lines into tokens; raise at the first character no token covers."""
+        text = "\n".join(self.codes)
+        self.toks = _TOKEN_RE.findall(text)
+        # findall skips what no token matches, so the tokens cover every
+        # character but whitespace exactly when the lines are well formed.
+        if sum(map(len, self.toks)) != len("".join(text.split())):
+            end = _LINE_RE.match(text).end()
+            line = self.linenos[text.count("\n", 0, end)]
+            raise LpParseError(f"unexpected character {text[end]!r}", line,
+                               end - text.rfind("\n", 0, end))
+
+    @cached_property
+    def nos(self) -> list[int]:
+        """The line number of each token."""
+        nos: list[int] = []
+        for lineno, code in zip(self.linenos, self.codes):
+            nos += [lineno] * len(_TOKEN_RE.findall(code))
+        return nos
 
     def error(self, message: str, k: int, after: bool = False) -> LpParseError:
         """An error at token k, or just after it."""
         lineno = self.nos[k]
         nth = k - bisect.bisect_left(self.nos, lineno)
-        code = self.lines[lineno - 1].split("\\", 1)[0]
+        code = self.codes[bisect.bisect_left(self.linenos, lineno)]
         match = list(_TOKEN_RE.finditer(code))[nth]
         return LpParseError(message, lineno, (match.end() if after else match.start()) + 1)
 
@@ -204,28 +225,33 @@ class _Section:
         terms: list[tuple[VarRef, float]] = []
         sign = 1.0
         coef: float | None = None
-        while k < len(toks):
+        for k in range(k, len(toks)):
             tok = toks[k]
-            if tok in _SENSES:
-                break
-            if tok == "+" or tok == "-":
-                if coef is not None:
-                    raise self.error("dangling coefficient", k)
-                if tok == "-":
-                    sign = -sign
-            elif _is_number(tok):
-                if coef is not None:
-                    raise self.error("two coefficients in a row", k)
-                coef = self.number(k)
-                coef_at = k
-            elif tok == ":":
-                raise self.error("unexpected ':'", k)
-            else:
-                ref = names.get(tok) or self.var(k)
-                terms.append((ref, sign if coef is None else sign * coef))
-                sign = 1.0
-                coef = None
-            k += 1
+            ref = names.get(tok)
+            if ref is None:  # not a known name: dispatch on the first character
+                first = tok[0]
+                if first in "<>=":
+                    break
+                if first == "+" or first == "-":
+                    if coef is not None:
+                        raise self.error("dangling coefficient", k)
+                    if first == "-":
+                        sign = -sign
+                    continue
+                if _is_number(tok):
+                    if coef is not None:
+                        raise self.error("two coefficients in a row", k)
+                    coef = self.number(k)
+                    coef_at = k
+                    continue
+                if first == ":":
+                    raise self.error("unexpected ':'", k)
+                ref = self.var(k)
+            terms.append((ref, sign if coef is None else sign * coef))
+            sign = 1.0
+            coef = None
+        else:
+            k = len(toks)
         if coef is not None:
             raise self.error("coefficient without a variable", coef_at)
         return terms, k
@@ -244,6 +270,8 @@ def _split_sections(text: str, names: dict[str, VarRef]) -> dict[str, _Section]:
             continue
         word = _SECTION_WORDS.get(bare.lower())
         if word is not None:
+            if current is not None:
+                current.close()
             if word == "maximize":
                 raise LpParseError("only minimization is supported", lineno, 1)
             if word == "end":
@@ -254,24 +282,22 @@ def _split_sections(text: str, names: dict[str, VarRef]) -> dict[str, _Section]:
                 raise LpParseError("content after End", lineno, 1)
             if word in sections:
                 raise LpParseError(f"duplicate section {bare!r}", lineno, 1)
-            sections[word] = current = _Section(lines, names)
+            sections[word] = current = _Section(names)
             continue
         if ended:
             raise LpParseError("content after End", lineno, 1)
         if current is None:
             raise LpParseError("content before Minimize", lineno, 1)
-        end = _LINE_RE.match(code).end()
-        if end < len(code):
-            raise LpParseError(f"unexpected character {code[end]!r}", lineno, end + 1)
-        found = _TOKEN_RE.findall(code)
-        current.toks += found
-        current.nos += [lineno] * len(found)
+        current.codes.append(code)
+        current.linenos.append(lineno)
+    if current is not None:
+        current.close()
     if not ended:
         raise LpParseError("missing End", len(lines) + 1, 1)
     if "objective" not in sections:
         raise LpParseError("missing Minimize section", len(lines) + 1, 1)
     for word in ("constraints", "bounds", "binaries"):
-        sections.setdefault(word, _Section(lines, names))
+        sections.setdefault(word, _Section(names))
     return sections
 
 
@@ -355,7 +381,7 @@ def parse_lp(text: str) -> IlpModel:
     seen: set[str] = set()
     sec = sections["binaries"]
     for k, tok in enumerate(sec.toks):
-        ref = sec.var(k)
+        ref = names.get(tok) or sec.var(k)
         if ref.kind == "e":
             raise sec.error(f"{tok} is continuous, not binary", k)
         if tok in seen:

@@ -35,13 +35,19 @@ Constraint families, named in tags and in validator reports:
 A stream variable z exists for a source l only if l has at least one
 coverage arc for g (otherwise C6 pins r to zero and no routing can occur),
 and never on an arc pointing back into l.
+
+Variables are :class:`VarRef` and rows :class:`LinearConstraint`, named
+tuples that compare, hash and unpack as the plain tuple of their fields.
+``build_model`` shares one VarRef, and one unit term per sign, per variable.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .instance import ArcSets, EnergyTables, Instance, arcs_match
 
@@ -68,9 +74,12 @@ _NAME_PATTERNS = {
 }
 
 
-@dataclass(frozen=True)
-class VarRef:
-    """A model variable, identified by kind and index tuple."""
+class VarRef(NamedTuple):
+    """A model variable, identified by kind and index tuple.
+
+    A named tuple: it hashes, compares and unpacks as the plain tuple
+    ``(kind, indices)``.
+    """
 
     kind: str
     indices: tuple[int, ...]
@@ -100,8 +109,9 @@ def parse_var_name(name: str) -> VarRef:
     return VarRef(name[0], tuple(map(int, match.groups())))
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
+    """One row ``sum(coef * ref) sense rhs``; a named tuple, like VarRef."""
+
     tag: str
     terms: tuple[tuple[VarRef, float], ...]
     sense: str  # "<=" | ">=" | "="
@@ -180,6 +190,23 @@ def variable_universe(instance: Instance, arcs: ArcSets) -> tuple[VarRef, ...]:
     return tuple(out)
 
 
+def universe_size(instance: Instance, arcs: ArcSets) -> int:
+    """``len(variable_universe(instance, arcs))``, counted from the arc sets
+    without making a variable, so that a model too large to hold can be
+    refused before anything is allocated per period."""
+    if not arcs_match(instance, arcs):
+        raise ValueError("arc sets were not built from this instance")
+    n = len(instance.sensors)
+    G = len(instance.phenomena)
+    stream_arcs = len(arcs.comm) + len(arcs.to_sink)
+    into = Counter(j for _, j in arcs.comm)  # stream arcs back into each source
+    per_period = (2 + G) * n  # y, w and r
+    for g in range(G):
+        per_period += len(arcs.coverage[g]) + len(instance.demand_indices(g))  # x and h
+        per_period += sum(stream_arcs - into[l] for l in _stream_sources(arcs, g))  # z
+    return per_period * instance.periods + n  # and e
+
+
 def build_model(
     instance: Instance,
     arcs: ArcSets,
@@ -202,30 +229,15 @@ def build_model(
     fixed_mult = G if per_phenomenon_fixed_energy else 1
 
     variables = variable_universe(instance, arcs)
-    universe = set(variables)
+    # One shared VarRef per variable, by kind and index tuple: a term of a
+    # variable outside the universe raises KeyError.
+    refs: dict[str, dict[tuple, VarRef]] = {kind: {} for kind in KIND_ORDER}
+    for ref in variables:
+        refs[ref.kind][ref.indices] = ref
+    x, y, z, w, r, h, e = (refs[kind] for kind in KIND_ORDER)
+    plus = {ref: (ref, 1.0) for ref in variables}  # unit terms, shared by the rows
+    minus = {ref: (ref, -1.0) for ref in variables}
 
-    def x(i, j, t, g):
-        return VarRef("x", (i, j, t, g))
-
-    def y(i, t):
-        return VarRef("y", (i, t))
-
-    def z(l, i, j, t, g):
-        return VarRef("z", (l, i, j, t, g))
-
-    def w(i, t):
-        return VarRef("w", (i, t))
-
-    def r(i, t, g):
-        return VarRef("r", (i, t, g))
-
-    def h(j, t, g):
-        return VarRef("h", (j, t, g))
-
-    def e(i):
-        return VarRef("e", (i,))
-
-    stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
     in_s = {j: [] for j in range(n)}  # sensor-to-sensor arcs into each sensor
     out_all = {i: [] for i in range(n)}  # arcs out of each sensor, sink heads included
     for (i, j) in arcs.comm:
@@ -249,8 +261,8 @@ def build_model(
     for g in range(G):
         for j in instance.demand_indices(g):
             for t in range(T):
-                terms = [(x(i, j, t, g), 1.0) for i in sorted(cover_of.get((j, g), []))]
-                terms.append((h(j, t, g), 1.0))
+                terms = [plus[x[i, j, t, g]] for i in sorted(cover_of.get((j, g), []))]
+                terms.append(plus[h[j, t, g]])
                 cons.append(LinearConstraint(f"C2_j{j}_t{t}_g{g}", tuple(terms), ">=", 1.0))
 
     # C3: covering a point requires sensing the phenomenon.
@@ -259,7 +271,7 @@ def build_model(
             for t in range(T):
                 cons.append(LinearConstraint(
                     f"C3_i{i}_j{j}_t{t}_g{g}",
-                    ((x(i, j, t, g), 1.0), (r(i, t, g), -1.0)), "<=", 0.0))
+                    (plus[x[i, j, t, g]], minus[r[i, t, g]]), "<=", 0.0))
 
     # C4: sensing requires being active.
     for i in range(n):
@@ -267,7 +279,7 @@ def build_model(
             for g in range(G):
                 cons.append(LinearConstraint(
                     f"C4_i{i}_t{t}_g{g}",
-                    ((r(i, t, g), 1.0), (y(i, t), -1.0)), "<=", 0.0))
+                    (plus[r[i, t, g]], minus[y[i, t]]), "<=", 0.0))
 
     # C5: at every sensor other than the source, stream in equals stream out.
     # Sinks absorb; no balance row is written for them.  Rows with no terms
@@ -278,8 +290,8 @@ def build_model(
                 for j in range(n):
                     if j == l:
                         continue
-                    terms = [(z(l, a, b, t, g), 1.0) for (a, b) in in_s[j]]
-                    terms += [(z(l, a, b, t, g), -1.0) for (a, b) in out_all[j] if b != l]
+                    terms = [plus[z[l, a, b, t, g]] for (a, b) in in_s[j]]
+                    terms += [minus[z[l, a, b, t, g]] for (a, b) in out_all[j] if b != l]
                     if not terms:
                         continue
                     cons.append(LinearConstraint(
@@ -293,84 +305,63 @@ def build_model(
             for t in range(T):
                 terms = []
                 if l in src:
-                    terms = [(z(l, a, b, t, g), 1.0) for (a, b) in out_all[l] if b != l]
-                terms.append((r(l, t, g), -1.0))
+                    terms = [plus[z[l, a, b, t, g]] for (a, b) in out_all[l] if b != l]
+                terms.append(minus[r[l, t, g]])
                 cons.append(LinearConstraint(
                     f"C6_l{l}_t{t}_g{g}", tuple(terms), "=", 0.0))
 
     # C7/C8: arcs carry streams only between active sensors.
-    for ref in variables:
-        if ref.kind != "z":
-            continue
-        l, i, j, t, g = ref.indices
+    for (l, i, j, t, g), ref in z.items():
         cons.append(LinearConstraint(
-            f"C7_l{l}_i{i}_j{j}_t{t}_g{g}", ((ref, 1.0), (y(i, t), -1.0)), "<=", 0.0))
-    for ref in variables:
-        if ref.kind != "z":
-            continue
-        l, i, j, t, g = ref.indices
+            f"C7_l{l}_i{i}_j{j}_t{t}_g{g}", (plus[ref], minus[y[i, t]]), "<=", 0.0))
+    for (l, i, j, t, g), ref in z.items():
         if j < n:  # sink heads have no activity variable
             cons.append(LinearConstraint(
-                f"C8_l{l}_i{i}_j{j}_t{t}_g{g}", ((ref, 1.0), (y(j, t), -1.0)), "<=", 0.0))
+                f"C8_l{l}_i{i}_j{j}_t{t}_g{g}", (plus[ref], minus[y[j, t]]), "<=", 0.0))
 
     # C9: energy accounting per sensor.
     for i in range(n):
-        terms: list[tuple[VarRef, float]] = []
-        for t in range(T):
-            terms.append((y(i, t), tables.em * fixed_mult))
-        for t in range(T):
-            terms.append((w(i, t), tables.ea * fixed_mult))
+        terms = [(y[i, t], tables.em * fixed_mult) for t in range(T)]
+        terms += [(w[i, t], tables.ea * fixed_mult) for t in range(T)]
         for t in range(T):
             for g in range(G):
                 for (a, b) in in_s[i]:
                     for l in sources[g]:
                         if i == l:
                             continue
-                        terms.append((z(l, a, b, t, g), tables.er[g]))
+                        terms.append((z[l, a, b, t, g], tables.er[g]))
                 for (a, b) in out_all[i]:
                     for l in sources[g]:
                         if b == l:
                             continue
-                        terms.append((z(l, a, b, t, g), tables.et[(a, b)][g]))
-        terms.append((e(i), -1.0))
+                        terms.append((z[l, a, b, t, g], tables.et[(a, b)][g]))
+        terms.append(minus[e[(i,)]])
         cons.append(LinearConstraint(f"C9_i{i}", tuple(terms), "<=", 0.0))
 
     # C11/C12: count off-to-on transitions.
     for i in range(n):
         cons.append(LinearConstraint(
-            f"C11_i{i}", ((w(i, 0), 1.0), (y(i, 0), -1.0)), ">=", 0.0))
+            f"C11_i{i}", (plus[w[i, 0]], minus[y[i, 0]]), ">=", 0.0))
     for i in range(n):
         for t in range(1, T):
             cons.append(LinearConstraint(
                 f"C12_i{i}_t{t}",
-                ((w(i, t), 1.0), (y(i, t), -1.0), (y(i, t - 1), 1.0)), ">=", 0.0))
+                (plus[w[i, t]], minus[y[i, t]], plus[y[i, t - 1]]), ">=", 0.0))
 
     # Objective: total drawn energy plus coverage and activation penalties.
-    objective: list[tuple[VarRef, float]] = []
-    for i in range(n):
-        objective.append((e(i), 1.0))
-    for ref in variables:
-        if ref.kind == "h":
-            objective.append((ref, tables.eh))
+    objective = [plus[ref] for ref in e.values()]
+    objective += [(ref, tables.eh) for ref in h.values()]
     if tables.eg != 0.0:
-        for ref in variables:
-            if ref.kind == "r":
-                objective.append((ref, tables.eg))
+        objective += [(ref, tables.eg) for ref in r.values()]
 
-    bounds = tuple((e(i), 0.0, tables.eb) for i in range(n))
+    bounds = tuple((ref, 0.0, tables.eb) for ref in e.values())
 
-    model = IlpModel(
+    return IlpModel(
         variables=variables,
         objective=tuple(objective),
         constraints=tuple(cons),
         bounds=bounds,
     )
-    for ref, _ in model.objective:
-        assert ref in universe
-    for c in model.constraints:
-        for ref, _ in c.terms:
-            assert ref in universe, f"undeclared variable {ref.name} in {c.tag}"
-    return model
 
 
 def model_stats(model: IlpModel) -> dict:

@@ -1,11 +1,16 @@
 """End-to-end command line flows via main(argv)."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import wsnsched as w
-from wsnsched.cli import main
+from wsnsched.cli import MAX_VARIABLES, main
 
 
 def _gen_small(tmp_path, name="inst.json", extra=()):
@@ -90,6 +95,33 @@ def test_ill_typed_instance_field_exits_2(tmp_path, capsys, path, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path[-1] in err
     assert "Traceback" not in err
+
+
+def test_oversized_model_exits_2_before_allocating(tmp_path):
+    # periods: 1e9 asks for ~9e12 variables.  The size guard refuses it right
+    # after the arcs are built.  The address-space limit makes a missing
+    # guard fail fast with a MemoryError instead of exhausting the machine.
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "random", "--out", str(inst_path), "--seed", "1"]) == 0
+    doc = json.loads(inst_path.read_text())
+    doc["periods"] = 1_000_000_000
+    inst_path.write_text(json.dumps(doc))
+    limit = 2 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(w.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsnsched.cli", "solve", "--instance", str(inst_path),
+         "--method", "heuristic", "--out", str(tmp_path / "sol.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    inst = w.load_instance(inst_path)
+    size = w.universe_size(inst, w.build_arcs(inst))
+    assert proc.stderr.startswith("error: ")
+    assert f"{size} variables" in proc.stderr
+    assert f"cap of {MAX_VARIABLES}" in proc.stderr
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_build_solve_validate_render_pipeline(tmp_path, capsys):

@@ -181,3 +181,44 @@ def test_numbers_take_ascii_digits_only():
     with pytest.raises(LpParseError, match="unexpected character") as err:
         w.parse_lp("Minimize\n obj: ٣ e_i0\nEnd\n")
     assert (err.value.line, err.value.col) == (2, 7)
+
+
+def _hand_model(fresh):
+    """A small hand-built model.  With ``fresh`` every occurrence of a
+    variable is its own, equal VarRef; otherwise each variable has one.
+    y_i7_t0 is used in rows but missing from ``variables``."""
+    shared = {}
+
+    def ref(kind, *indices):
+        if fresh:
+            return w.VarRef(kind, indices)
+        return shared.setdefault((kind, indices), w.VarRef(kind, indices))
+
+    def row(*pairs):
+        return tuple((ref(*key), coef) for key, coef in pairs)
+
+    y0, y1, y7, e0 = ("y", 0, 0), ("y", 1, 0), ("y", 7, 0), ("e", 0)
+    return w.IlpModel(
+        variables=(ref(*y0), ref(*y1), ref(*e0)),
+        objective=row((e0, 1.0), (y0, 2.5)),
+        constraints=(
+            w.LinearConstraint("long", row(
+                (y0, -1.0), (y1, 1.0), (y7, 0.5), (y0, -2.0), (y1, 1e-3),
+                (y7, -1.0), (y0, 1.0), (y1, 3.25), (y7, -1.0), (e0, 1.0)), "<=", 4.0),
+            w.LinearConstraint("short", row((e0, -2.0), (y7, 0.5)), ">=", -3.0),
+        ),
+        bounds=((ref(*e0), 0.0, 4.0),),
+    )
+
+
+def test_export_formats_equal_refs_alike():
+    # Names and coefficients are memoized by equality, so fresh equal refs,
+    # and a ref that is not declared, write exactly what shared refs do.
+    expected = (
+        "\\ wsn-ilp/1\nMinimize\n obj: e_i0 + 2.5 y_i0_t0\nSubject To\n"
+        " long: - y_i0_t0 + y_i1_t0 + 0.5 y_i7_t0 - 2 y_i0_t0 + 0.001 y_i1_t0"
+        " - y_i7_t0 + y_i0_t0 + 3.25 y_i1_t0\n      - y_i7_t0 + e_i0 <= 4\n"
+        " short: - 2 e_i0 + 0.5 y_i7_t0 >= -3\nBounds\n 0 <= e_i0 <= 4\n"
+        "Binaries\n y_i0_t0 y_i1_t0\nEnd\n")
+    assert w.export_lp(_hand_model(fresh=False)) == expected
+    assert w.export_lp(_hand_model(fresh=True)) == expected

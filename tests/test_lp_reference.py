@@ -19,10 +19,12 @@ import reference_lp as ref
 
 SEEDS = range(50)
 
-# Single edits draw from these.  Non-ASCII digits stay out: the package
-# rejects them on purpose, where the reference read them as numbers.
+# Single edits draw from these, every spelling of a sense among them.
+# Non-ASCII digits stay out: the package rejects them on purpose, where the
+# reference read them as numbers.
 EDITS = ("+", "-", ":", "<=", ">=", "=", "1e999", "2.5", "e_i0", "y_i0_t0", "$",
-         "\\", "c", "free", "x_i00_t0", "Bounds", "End", "Subject To", "\n")
+         "\\", "c", "free", "x_i00_t0", "Bounds", "End", "Subject To", "\n",
+         "<", ">", "=<", "=>")
 _PIECE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*|[0-9.]+(?:[eE][+-]?[0-9]+)?|<=|>=|\n| +|.")
 # Every bound form the parser reads, rotated over the Bounds lines.
 _BOUND_FORMS = (r" \1 <= \2", r" \1 >= \2", r" \1 = \2", r" \1 free", r" 0 <= \1 <= \2")

@@ -3,9 +3,10 @@
 import pytest
 
 import wsnsched as w
+from wsnsched.cli import MAX_VARIABLES
 from wsnsched.model import KIND_ORDER
 from wsnsched.solve import parse_external_solution
-from helpers import make_instance, trivial_instance
+from helpers import make_instance, tiny_instance, trivial_instance
 
 
 def expected_counts(inst, arcs):
@@ -261,3 +262,58 @@ def test_name_of_wrong_arity_names_the_fields_given():
 def test_external_solution_rejects_aliasing_names():
     with pytest.raises(ValueError, match="line 2: malformed variable name 'y_i00_t0'"):
         parse_external_solution("y_i0_t0 = 1\ny_i00_t0 = 0\n")
+
+
+# The benchmark's pool: every (scenario, kind, periods, seed) it lays out.
+POOL_LAYOUTS = [("bench1", "grid", 1, 0), ("bench1", "grid", 3, 0), ("bench2", "grid", 3, 0),
+                ("default", "random", 2, 2), ("bench2", "random", 2, 1)] + [
+                ("default", "random", 1, s) for s in range(1, 7)]
+
+
+@pytest.mark.parametrize("layout", POOL_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
+def test_universe_size_counts_the_pool_universe(layout):
+    scenario, kind, periods, seed = layout
+    inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
+    arcs = w.build_arcs(inst)
+    size = w.universe_size(inst, arcs)
+    assert size == len(w.variable_universe(inst, arcs))
+    assert size <= MAX_VARIABLES  # the CLI's size guard admits every pool model
+
+
+def test_universe_size_counts_tiny_universes():
+    for seed in range(20):
+        inst, arcs = tiny_instance(seed)
+        assert w.universe_size(inst, arcs) == len(w.variable_universe(inst, arcs))
+    with pytest.raises(ValueError):
+        w.universe_size(trivial_instance(), tiny_instance(0)[1])
+
+
+def _assert_refs_shared(model):
+    """Every ref in the objective, the rows and the bounds is the very object
+    listed in model.variables."""
+    declared = {ref: ref for ref in model.variables}
+    refs = [ref for ref, _ in model.objective]
+    refs += [ref for c in model.constraints for ref, _ in c.terms]
+    refs += [ref for ref, _, _ in model.bounds]
+    assert refs and all(ref is declared[ref] for ref in refs)
+
+
+def test_build_and_parse_share_one_ref_per_variable():
+    inst = w.scenario_instance("default", kind="random", periods=2, seed=21)
+    model = w.build_model(inst, w.build_arcs(inst))
+    _assert_refs_shared(model)
+    _assert_refs_shared(w.parse_lp(w.export_lp(model)))
+
+
+def test_records_are_named_tuples():
+    ref = w.VarRef("x", (0, 1, 2, 0))
+    assert hash(ref) == hash(("x", (0, 1, 2, 0)))
+    assert ref == ("x", (0, 1, 2, 0))
+    assert repr(ref) == "VarRef(kind='x', indices=(0, 1, 2, 0))"
+    kind, indices = ref
+    assert (kind, indices) == (ref.kind, ref.indices)
+    row = w.LinearConstraint("C4_i0_t0_g0", ((ref, 1.0),), "<=", 0.0)
+    assert row == ("C4_i0_t0_g0", ((("x", (0, 1, 2, 0)), 1.0),), "<=", 0.0)
+    assert repr(row) == ("LinearConstraint(tag='C4_i0_t0_g0', terms=((VarRef(kind='x', "
+                         "indices=(0, 1, 2, 0)), 1.0),), sense='<=', rhs=0.0)")
+    assert not hasattr(ref, "__dict__") and not hasattr(row, "__dict__")
