@@ -24,7 +24,8 @@ from .instance import (
 )
 from .ioutil import atomic_write_text
 from .lp import export_lp
-from .model import build_model, model_stats, universe_size
+from .model import MAX_VARIABLES  # noqa: F401  (the cap _load applies, importable here)
+from .model import build_model, check_model_size, model_stats
 from .report import load_spec, run_experiment, save_rows, save_views
 from .solve import (
     OracleCapExceeded,
@@ -44,22 +45,12 @@ from .validate import (
 )
 
 
-# The most model variables a command accepts.  Building and exporting a model
-# takes about 1.7 KB per variable (peak RSS of `wsnsched build` on bench2
-# grid T=3, 55 032 variables, 130 MB against 37 MB at start), so a model at
-# the cap needs about 1.7 GB.
-MAX_VARIABLES = 1_000_000
-
-
 def _load(path):
     """The instance at ``path`` and its arcs; a ValueError if its model
     would have more than MAX_VARIABLES variables."""
     instance = load_instance(path)
     arcs = build_arcs(instance)
-    size = universe_size(instance, arcs)
-    if size > MAX_VARIABLES:
-        raise ValueError(f"the model of {path} would have {size} variables, "
-                         f"above the cap of {MAX_VARIABLES}")
+    check_model_size(instance, arcs, path)
     return instance, arcs
 
 

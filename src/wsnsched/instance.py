@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -267,12 +268,58 @@ class ArcSets:
     (sensor, sink) pairs within communication range.  A distance exactly
     equal to the radius produces an arc.  All tuples are sorted so iteration
     order is deterministic.
+
+    The stream network every consumer routes over is derived from these
+    fields on first use and cached: ``stream`` lists the comm arcs, then
+    the sink arcs with sink k as node n + k; ``out_arcs[i]`` and
+    ``in_arcs[v]`` hold the stream arcs out of sensor i and into node v
+    (a sensor or a sink), in ``stream`` order; ``sources[g]`` lists the
+    sensors with a coverage arc for phenomenon index g, and
+    ``covering[g][j]`` those covering demand point j; ``tables`` is the
+    one :class:`EnergyTables` of these arcs.
     """
 
     coverage: tuple[tuple[tuple[int, int], ...], ...]
     comm: tuple[tuple[int, int], ...]
     to_sink: tuple[tuple[int, int], ...]
     source: Instance
+
+    @cached_property
+    def stream(self) -> tuple[tuple[int, int], ...]:
+        n = len(self.source.sensors)
+        return tuple(self.comm) + tuple((i, n + k) for i, k in self.to_sink)
+
+    def _by_node(self, end: int, count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        nodes: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for arc in self.stream:
+            nodes[arc[end]].append(arc)
+        return tuple(map(tuple, nodes))
+
+    @cached_property
+    def out_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self._by_node(0, len(self.source.sensors))
+
+    @cached_property
+    def in_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self._by_node(1, len(self.source.sensors) + len(self.source.sinks))
+
+    @cached_property
+    def sources(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted({i for i, _ in pairs})) for pairs in self.coverage)
+
+    @cached_property
+    def covering(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        out = []
+        for pairs in self.coverage:
+            cover: list[list[int]] = [[] for _ in self.source.demand_points]
+            for i, j in pairs:
+                cover[j].append(i)
+            out.append(tuple(map(tuple, cover)))
+        return tuple(out)
+
+    @cached_property
+    def tables(self) -> "EnergyTables":
+        return EnergyTables(self.source, self)
 
 
 def _positions(points: Sequence[Point2D]) -> np.ndarray:
@@ -314,18 +361,28 @@ def arcs_match(instance: Instance, arcs: ArcSets) -> bool:
     return arcs.source == instance
 
 
+def arcs_for(instance: Instance, arcs: ArcSets | None = None) -> ArcSets:
+    """``arcs``, or the instance's arc sets when it is None; a ValueError
+    when ``arcs`` was built from another instance."""
+    if arcs is None:
+        return build_arcs(instance)
+    if not arcs_match(instance, arcs):
+        raise ValueError("arc sets were not built from this instance")
+    return arcs
+
+
 class EnergyTables:
     """Per-arc and per-phenomenon energy constants for one instance.
 
     ``et[(i, j)][g]`` is the transmit energy on arc (i, j) for phenomenon g,
     with j a global node id (sinks follow sensors), and ``er[g]`` the
-    receive energy.  Shared by the model builder, the solvers and the
-    validator so every component prices an arc identically.
+    receive energy.  ``ArcSets.tables`` holds the one instance the model
+    builder, the solvers and the validator share, so every component
+    prices an arc identically.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets):
-        if not arcs_match(instance, arcs):
-            raise ValueError("arc sets were not built from this instance")
+        arcs_for(instance, arcs)
         dev = instance.device
         plen = instance.period_length
         self.em = dev.maintenance_energy
@@ -334,17 +391,11 @@ class EnergyTables:
         self.eh = instance.penalty_uncovered
         self.eg = instance.penalty_activation
         self.er = tuple(receive_energy(dev, ph, plen) for ph in instance.phenomena)
-        n = len(instance.sensors)
         nodes = list(instance.sensors) + list(instance.sinks)
         self.et: dict[tuple[int, int], tuple[float, ...]] = {}
-        for i, j in arcs.comm:
+        for i, j in arcs.stream:
             d = nodes[i].distance_to(nodes[j])
             self.et[(i, j)] = tuple(
-                transmit_energy(dev, ph, plen, d) for ph in instance.phenomena
-            )
-        for i, k in arcs.to_sink:
-            d = nodes[i].distance_to(nodes[n + k])
-            self.et[(i, n + k)] = tuple(
                 transmit_energy(dev, ph, plen, d) for ph in instance.phenomena
             )
 
@@ -617,16 +668,16 @@ def instance_to_json(instance: Instance) -> dict:
 def _integer(val, what: str) -> int:
     """A JSON integer; a bool or a float is refused."""
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ValueError(f"instance field {what} must be an integer, got {val!r}")
+        raise ValueError(f"field {what} must be an integer, got {val!r}")
     return val
 
 
 def _real(val, what: str) -> float:
     """A finite JSON number (an integer is accepted), as a float."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"instance field {what} must be a number, got {val!r}")
+        raise ValueError(f"field {what} must be a number, got {val!r}")
     if (isinstance(val, int) and abs(val) > sys.float_info.max) or not math.isfinite(val):
-        raise ValueError(f"instance field {what} must be finite, got {val!r}")
+        raise ValueError(f"field {what} must be finite, got {val!r}")
     return float(val)
 
 

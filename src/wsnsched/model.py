@@ -39,17 +39,19 @@ and never on an arc pointing back into l.
 Variables are :class:`VarRef` and rows :class:`LinearConstraint`, named
 tuples that compare, hash and unpack as the plain tuple of their fields.
 ``build_model`` shares one VarRef, and one unit term per sign, per variable.
+The rows walk the stream network the arc sets derive (``arcs.stream``,
+``arcs.in_arcs``, ``arcs.out_arcs``, ``arcs.sources``, ``arcs.covering``)
+and price arcs with ``arcs.tables``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .instance import ArcSets, EnergyTables, Instance, arcs_match
+from .instance import ArcSets, Instance, arcs_for
 
 KIND_ORDER = ("x", "y", "z", "w", "r", "h", "e")
 
@@ -139,16 +141,10 @@ class IlpModel:
         return ref.kind != "e"
 
 
-def _stream_sources(arcs: ArcSets, g: int) -> list[int]:
-    # Sensors that could sense phenomenon g: those with a coverage arc.
-    return sorted({i for i, _ in arcs.coverage[g]})
-
-
 def variable_universe(instance: Instance, arcs: ArcSets) -> tuple[VarRef, ...]:
     """Every variable the model for (instance, arcs) contains, in canonical
     order: x, y, z, w, r, h, e; within a kind, sorted by index tuple."""
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     n = len(instance.sensors)
     T = instance.periods
     G = len(instance.phenomena)
@@ -160,12 +156,11 @@ def variable_universe(instance: Instance, arcs: ArcSets) -> tuple[VarRef, ...]:
         for t in range(T)
     )
     ys = [(i, t) for i in range(n) for t in range(T)]
-    stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
     zs = sorted(
         (l, i, j, t, g)
         for g in range(G)
-        for l in _stream_sources(arcs, g)
-        for (i, j) in stream_arcs
+        for l in arcs.sources[g]
+        for (i, j) in arcs.stream
         if j != l
         for t in range(T)
     )
@@ -194,17 +189,31 @@ def universe_size(instance: Instance, arcs: ArcSets) -> int:
     """``len(variable_universe(instance, arcs))``, counted from the arc sets
     without making a variable, so that a model too large to hold can be
     refused before anything is allocated per period."""
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     n = len(instance.sensors)
     G = len(instance.phenomena)
-    stream_arcs = len(arcs.comm) + len(arcs.to_sink)
-    into = Counter(j for _, j in arcs.comm)  # stream arcs back into each source
     per_period = (2 + G) * n  # y, w and r
     for g in range(G):
         per_period += len(arcs.coverage[g]) + len(instance.demand_indices(g))  # x and h
-        per_period += sum(stream_arcs - into[l] for l in _stream_sources(arcs, g))  # z
+        # z: every stream arc but those back into the source
+        per_period += sum(len(arcs.stream) - len(arcs.in_arcs[l]) for l in arcs.sources[g])
     return per_period * instance.periods + n  # and e
+
+
+# The most model variables a command accepts.  Building and exporting a model
+# takes about 1.7 KB per variable (peak RSS of `wsnsched build` on bench2
+# grid T=3, 55 032 variables, 130 MB against 37 MB at start), so a model at
+# the cap needs about 1.7 GB.
+MAX_VARIABLES = 1_000_000
+
+
+def check_model_size(instance: Instance, arcs: ArcSets, what: str) -> None:
+    """A ValueError, naming the model ``what``, when the model of (instance,
+    arcs) would have more than MAX_VARIABLES variables."""
+    size = universe_size(instance, arcs)
+    if size > MAX_VARIABLES:
+        raise ValueError(f"the model of {what} would have {size} variables, "
+                         f"above the cap of {MAX_VARIABLES}")
 
 
 def build_model(
@@ -220,12 +229,11 @@ def build_model(
     variant in which the fixed terms sit inside the per-phenomenon sum);
     exports only, the validator always applies the default accounting.
     """
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     n = len(instance.sensors)
     T = instance.periods
     G = len(instance.phenomena)
-    tables = EnergyTables(instance, arcs)
+    tables = arcs.tables
     fixed_mult = G if per_phenomenon_fixed_energy else 1
 
     variables = variable_universe(instance, arcs)
@@ -238,30 +246,14 @@ def build_model(
     plus = {ref: (ref, 1.0) for ref in variables}  # unit terms, shared by the rows
     minus = {ref: (ref, -1.0) for ref in variables}
 
-    in_s = {j: [] for j in range(n)}  # sensor-to-sensor arcs into each sensor
-    out_all = {i: [] for i in range(n)}  # arcs out of each sensor, sink heads included
-    for (i, j) in arcs.comm:
-        in_s[j].append((i, j))
-        out_all[i].append((i, j))
-    for (i, k) in arcs.to_sink:
-        out_all[i].append((i, n + k))
-    for i in range(n):
-        in_s[i].sort()
-        out_all[i].sort()
-
-    sources = {g: _stream_sources(arcs, g) for g in range(G)}
-    cover_of = {}  # (j, g) -> sensors with a coverage arc onto j
-    for g in range(G):
-        for (i, j) in arcs.coverage[g]:
-            cover_of.setdefault((j, g), []).append(i)
-
+    in_arcs, out_arcs, sources = arcs.in_arcs, arcs.out_arcs, arcs.sources
     cons: list[LinearConstraint] = []
 
     # C2: cover every demanded (j, t, g) or take the penalty.
     for g in range(G):
         for j in instance.demand_indices(g):
             for t in range(T):
-                terms = [plus[x[i, j, t, g]] for i in sorted(cover_of.get((j, g), []))]
+                terms = [plus[x[i, j, t, g]] for i in arcs.covering[g][j]]
                 terms.append(plus[h[j, t, g]])
                 cons.append(LinearConstraint(f"C2_j{j}_t{t}_g{g}", tuple(terms), ">=", 1.0))
 
@@ -290,8 +282,8 @@ def build_model(
                 for j in range(n):
                     if j == l:
                         continue
-                    terms = [plus[z[l, a, b, t, g]] for (a, b) in in_s[j]]
-                    terms += [minus[z[l, a, b, t, g]] for (a, b) in out_all[j] if b != l]
+                    terms = [plus[z[l, a, b, t, g]] for (a, b) in in_arcs[j]]
+                    terms += [minus[z[l, a, b, t, g]] for (a, b) in out_arcs[j] if b != l]
                     if not terms:
                         continue
                     cons.append(LinearConstraint(
@@ -305,7 +297,7 @@ def build_model(
             for t in range(T):
                 terms = []
                 if l in src:
-                    terms = [plus[z[l, a, b, t, g]] for (a, b) in out_all[l] if b != l]
+                    terms = [plus[z[l, a, b, t, g]] for (a, b) in out_arcs[l] if b != l]
                 terms.append(minus[r[l, t, g]])
                 cons.append(LinearConstraint(
                     f"C6_l{l}_t{t}_g{g}", tuple(terms), "=", 0.0))
@@ -325,12 +317,12 @@ def build_model(
         terms += [(w[i, t], tables.ea * fixed_mult) for t in range(T)]
         for t in range(T):
             for g in range(G):
-                for (a, b) in in_s[i]:
+                for (a, b) in in_arcs[i]:
                     for l in sources[g]:
                         if i == l:
                             continue
                         terms.append((z[l, a, b, t, g], tables.er[g]))
-                for (a, b) in out_all[i]:
+                for (a, b) in out_arcs[i]:
                     for l in sources[g]:
                         if b == l:
                             continue

@@ -13,23 +13,15 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
-from .instance import Instance, build_arcs, scenario_instance
-from .model import VarRef
+from .instance import Instance, _integer, _real, build_arcs, scenario_instance
+from .model import VarRef, check_model_size
 from .solve import SolveConfig, solve_exact, solve_heuristic
 from .validate import InfeasibleSolutionError, _values_of, evaluate
 
 EXPERIMENT_FORMAT = "wsn-experiment/1"
-
-CSV_COLUMNS = (
-    "periods", "type",
-    "objective_mean", "objective_std",
-    "real_objective_mean", "real_objective_std",
-    "uncovered_rate_mean", "uncovered_rate_std",
-    "time_mean_s", "time_std_s",
-    "n",
-)
 
 _MARGIN = 40.0
 _CANVAS = 560.0
@@ -71,12 +63,6 @@ class _Scene:
         pts = (f"{_fmt(cx)},{_fmt(cy - half)} {_fmt(cx - half)},{_fmt(cy + half)} "
                f"{_fmt(cx + half)},{_fmt(cy + half)}")
         self.add(f'<polygon points="{pts}" {style}/>')
-
-    def line(self, x1, y1, x2, y2, style: str) -> None:
-        ax, ay = self.px(x1, y1)
-        bx, by = self.px(x2, y2)
-        self.add(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" '
-                 f'y2="{_fmt(by)}" {style}/>')
 
     def arrow(self, x1, y1, x2, y2, color: str) -> None:
         ax, ay = self.px(x1, y1)
@@ -282,16 +268,28 @@ class ExperimentRow:
     n: int
 
 
+# The CSV columns are the row's fields, each parsed back by its type.
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
+_CSV_TYPES = tuple(get_type_hints(ExperimentRow)[name] for name in CSV_COLUMNS)
+
+
 def spec_from_json(data: dict) -> ExperimentSpec:
-    if data.get("format") != EXPERIMENT_FORMAT:
-        raise ValueError(f"unsupported experiment format {data.get('format')!r}")
-    kwargs = {}
+    """Read an experiment spec.  ``types``, ``periods`` and ``seeds`` must be
+    JSON lists, ``periods`` and ``seeds`` of integers, and ``time_limit_s``
+    a finite number; anything else is a ValueError."""
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != EXPERIMENT_FORMAT:
+        raise ValueError(f"unsupported experiment format {fmt!r}")
+    kwargs = {key: data[key] for key in ("types", "periods", "seeds", "solver", "scenario")
+              if key in data}
     for key in ("types", "periods", "seeds"):
-        if key in data:
-            kwargs[key] = tuple(data[key])
-    for key in ("solver", "scenario", "time_limit_s"):
-        if key in data:
-            kwargs[key] = data[key]
+        if not isinstance(kwargs.get(key, []), list):
+            raise ValueError(f"field {key} must be a list, got {kwargs[key]!r}")
+    for key in ("periods", "seeds"):
+        if key in kwargs:
+            kwargs[key] = tuple(_integer(val, key) for val in kwargs[key])
+    if "time_limit_s" in data:
+        kwargs["time_limit_s"] = _real(data["time_limit_s"], "time_limit_s")
     return ExperimentSpec(**kwargs)
 
 
@@ -315,6 +313,7 @@ def load_spec(path) -> ExperimentSpec:
 def _one_run(spec: ExperimentSpec, kind: str, periods: int, seed: int):
     instance = scenario_instance(spec.scenario, kind=kind, periods=periods, seed=seed)
     arcs = build_arcs(instance)
+    check_model_size(instance, arcs, f"{spec.scenario}/{kind}/T={periods}/seed={seed}")
     if spec.solver == "heuristic":
         solution = solve_heuristic(instance, arcs)
     else:
@@ -371,19 +370,12 @@ def run_experiment(spec: ExperimentSpec, log=None) -> list[ExperimentRow]:
 
 
 def rows_to_csv(rows) -> str:
-    """Serialize rows losslessly (floats via repr)."""
+    """Serialize rows losslessly (a float's str is its repr)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            row.periods, row.type,
-            repr(row.objective_mean), repr(row.objective_std),
-            repr(row.real_objective_mean), repr(row.real_objective_std),
-            repr(row.uncovered_rate_mean), repr(row.uncovered_rate_std),
-            repr(row.time_mean_s), repr(row.time_std_s),
-            row.n,
-        ])
+        writer.writerow([getattr(row, name) for name in CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -398,19 +390,7 @@ def csv_to_rows(text: str) -> list[ExperimentRow]:
             continue
         if len(record) != len(CSV_COLUMNS):
             raise ValueError(f"CSV row has {len(record)} fields, expected {len(CSV_COLUMNS)}")
-        rows.append(ExperimentRow(
-            periods=int(record[0]),
-            type=record[1],
-            objective_mean=float(record[2]),
-            objective_std=float(record[3]),
-            real_objective_mean=float(record[4]),
-            real_objective_std=float(record[5]),
-            uncovered_rate_mean=float(record[6]),
-            uncovered_rate_std=float(record[7]),
-            time_mean_s=float(record[8]),
-            time_std_s=float(record[9]),
-            n=int(record[10]),
-        ))
+        rows.append(ExperimentRow(*(parse(text) for parse, text in zip(_CSV_TYPES, record))))
     return rows
 
 

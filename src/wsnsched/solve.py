@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ArcSets, EnergyTables, Instance, arcs_match, build_arcs
+from .instance import ArcSets, Instance, arcs_for
 from .model import VarRef, parse_var_name, variable_universe
 from .validate import _Universe
 
@@ -80,34 +80,24 @@ class OracleCapExceeded(ValueError):
 
 
 class _Structures:
-    """Adjacency and cost tables used by the exact and heuristic solvers."""
+    """The solvers' view of (instance, arcs): the arcs' stream network and
+    energy tables, and which demanded points each sensor covers."""
 
     def __init__(self, instance: Instance, arcs: ArcSets):
         self.instance = instance
         self.arcs = arcs
-        self.tables = EnergyTables(instance, arcs)
+        self.tables = arcs.tables
         self.n = len(instance.sensors)
         self.T = instance.periods
         self.G = len(instance.phenomena)
-        n = self.n
-        self.stream_arcs = sorted(
-            list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
-        )
-        self.out_arcs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-        self.in_arcs: list[list[tuple[int, int]]] = [
-            [] for _ in range(n + len(instance.sinks))
-        ]
-        for (a, b) in self.stream_arcs:
-            self.out_arcs[a].append((a, b))
-            self.in_arcs[b].append((a, b))
+        self.out_arcs = arcs.out_arcs
+        self.in_arcs = arcs.in_arcs
         # Demanded points only: sensing a point nobody asked about never helps.
-        self.cand: dict[tuple[int, int], list[int]] = {}
         self.sensor_cover: dict[tuple[int, int], list[int]] = {}
         for g in range(self.G):
             demanded = set(instance.demand_indices(g))
             for (i, j) in arcs.coverage[g]:
                 if j in demanded:
-                    self.cand.setdefault((j, g), []).append(i)
                     self.sensor_cover.setdefault((i, g), []).append(j)
         self.demanded = [
             (j, t, g)
@@ -232,7 +222,7 @@ def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
     only the cheapest route was produced.
     """
     n = s.n
-    if sum(1 for (_, b) in s.stream_arcs if b != l) > arc_cap:
+    if len(s.arcs.stream) - len(s.in_arcs[l]) > arc_cap:
         route = _route(s, l, g, [s.tables.er[g]] * n)
         return ([] if route is None else [_make_flow(s, g, tuple(sorted(route[0])))]), False
 
@@ -295,7 +285,7 @@ class _ExactSearch:
         self.r_val: dict[tuple[int, int, int], int] = {}
         self.cover_count = {key: 0 for key in s.demanded}
         self.cand_left = {
-            (j, tt, g): len(s.cand.get((j, g), ())) for (j, tt, g) in s.demanded
+            (j, tt, g): len(s.arcs.covering[g][j]) for (j, tt, g) in s.demanded
         }
         self.em_active: dict[tuple[int, int], int] = {}
         self.commit_cost = 0.0
@@ -397,7 +387,7 @@ class _ExactSearch:
                 bound += self.eh
                 continue
             cheapest = self.eh
-            for i in self.s.cand[(j, g)]:
+            for i in self.s.arcs.covering[g][j]:
                 if (i, t, g) in self.r_val:
                     continue
                 k = sum(
@@ -510,10 +500,7 @@ def solve_exact(
     there are at least three periods: there a sensor kept on through an
     idle period can save a switch-on, and the search does not explore that.
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
@@ -547,10 +534,7 @@ def brute_force_oracle(
     Raises :class:`OracleCapExceeded` when the model has more than ``cap``
     binary variables (enumeration time grows as 2^free).
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     universe = variable_universe(instance, arcs)
     n_binary = sum(1 for ref in universe if ref.kind != "e")
@@ -558,7 +542,7 @@ def brute_force_oracle(
         raise OracleCapExceeded(
             f"instance has {n_binary} binary variables, oracle cap is {cap}"
         )
-    tables = EnergyTables(instance, arcs)
+    tables = arcs.tables
     n = len(instance.sensors)
     T = instance.periods
     G = len(instance.phenomena)
@@ -579,23 +563,19 @@ def brute_force_oracle(
             i, j, t, g = ref.indices
             if (j, t, g) in cover_cols:
                 cover_cols[(j, t, g)].append(col[ref])
-    sources = [sorted({i for i, _ in arcs.coverage[g]}) for g in range(G)]
-    stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
-
     # C5/C6 rows as free-column index lists.
     c5_rows: list[tuple[list[int], list[int]]] = []
     c6_rows: list[tuple[list[int], int]] = []
     for g in range(G):
-        src = set(sources[g])
-        for l in sources[g]:
+        src = set(arcs.sources[g])
+        for l in arcs.sources[g]:
             for t in range(T):
                 for j in range(n):
                     if j == l:
                         continue
-                    ins = [col[VarRef("z", (l, a, b, t, g))]
-                           for (a, b) in stream_arcs if b == j]
+                    ins = [col[VarRef("z", (l, a, b, t, g))] for (a, b) in arcs.in_arcs[j]]
                     outs = [col[VarRef("z", (l, a, b, t, g))]
-                            for (a, b) in stream_arcs if a == j and b != l]
+                            for (a, b) in arcs.out_arcs[j] if b != l]
                     if ins or outs:
                         c5_rows.append((ins, outs))
         for l in range(n):
@@ -603,7 +583,7 @@ def brute_force_oracle(
                 outs = []
                 if l in src:
                     outs = [col[VarRef("z", (l, a, b, t, g))]
-                            for (a, b) in stream_arcs if a == l and b != l]
+                            for (a, b) in arcs.out_arcs[l] if b != l]
                 c6_rows.append((outs, col[VarRef("r", (l, t, g))]))
 
     x_pairs = []  # C3: x column with its matching r column
@@ -751,10 +731,7 @@ def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution
     No candidate after it can win or tie, so the schedule is the one that
     routing every candidate would give.
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
-    if not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
+    arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     s = _Structures(instance, arcs)
     tb = s.tables
@@ -904,7 +881,7 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
             values[VarRef("e", (i,))] = energy[i]
         objective += energy[i]
     for (j, t, g) in s.demanded:
-        if not any((i, t, g) in r_set for i in s.cand.get((j, g), ())):
+        if not any((i, t, g) in r_set for i in s.arcs.covering[g][j]):
             values[VarRef("h", (j, t, g))] = 1
             objective += tb.eh
     objective += tb.eg * len(r_set)
@@ -954,21 +931,12 @@ def _json_number(what: str, val):
     return val
 
 
-def _members(instance: Instance, arcs: ArcSets | None):
-    """The validator's per-kind test of membership in the instance's universe."""
-    if arcs is None:
-        arcs = build_arcs(instance)
-    elif not arcs_match(instance, arcs):
-        raise ValueError("arc sets were not built from this instance")
-    return _Universe(instance, arcs).member
-
-
 def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
     """Load a solution JSON; variables the file omits, or sets to 0, are 0.
 
     Every value must be a JSON number; binaries are snapped by :func:`_snap`.
     """
-    member = _members(instance, arcs)
+    member = _Universe(instance, arcs_for(instance, arcs)).member
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     fmt = data.get("format") if isinstance(data, dict) else None
@@ -1023,7 +991,7 @@ def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None
 
     Binary values are snapped to integers by :func:`_snap`.
     """
-    member = _members(instance, arcs)
+    member = _Universe(instance, arcs_for(instance, arcs)).member
     with open(path, "r", encoding="utf-8") as fh:
         parsed = parse_external_solution(fh.read())
     values = {}

@@ -2,7 +2,11 @@
 
 This module re-derives every constraint family directly from the instance
 and its arc sets rather than reading them out of a built model, so model
-construction bugs and solver bugs cannot cancel each other out.  Binary
+construction bugs and solver bugs cannot cancel each other out.  The arc
+sets supply the stream network (``arcs.stream`` in comm-then-sink order,
+per-node ``in_arcs`` and ``out_arcs``, ``sources``, ``covering``) and the
+energy tables, all derived from the geometry alone; the rows, their order
+and the membership predicates are written here.  Binary
 rows are checked exactly; only the energy accounting row and the battery
 bounds use a small absolute tolerance, and a non-finite energy never
 passes them.
@@ -28,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .instance import ArcSets, EnergyTables, Instance, build_arcs
+from .instance import ArcSets, Instance, arcs_for
 from .model import VarRef
 
 # Absolute slack on the energy rows (C9, C10).  It is the acceptance bound
@@ -116,15 +120,13 @@ class _Universe:
         T = instance.periods
         G = len(instance.phenomena)
         self.n, self.T, self.G = n, T, G
-        self.coverage = arcs.coverage
-        self.stream_arcs = list(arcs.comm) + [(i, n + k) for i, k in arcs.to_sink]
-        self.sources = {g: sorted({i for i, _ in arcs.coverage[g]}) for g in range(G)}
+        self.arcs = arcs
         self.demand = {g: instance.demand_indices(g) for g in range(G)}
 
         sensors, periods, phenomena = range(n), range(T), range(G)
         cover = {g: set(pairs) for g, pairs in enumerate(arcs.coverage)}
-        src = {g: set(ls) for g, ls in self.sources.items()}
-        stream = set(self.stream_arcs)
+        src = {g: set(ls) for g, ls in enumerate(arcs.sources)}
+        stream = set(arcs.stream)
         demand = {g: set(js) for g, js in self.demand.items()}
 
         def active(k):  # y and w: (i, t)
@@ -145,9 +147,9 @@ class _Universe:
         }
 
     def walk(self):
-        n, T, G = self.n, self.T, self.G
+        n, T, G, arcs = self.n, self.T, self.G, self.arcs
         for g in range(G):
-            for (i, j) in self.coverage[g]:
+            for (i, j) in arcs.coverage[g]:
                 for t in range(T):
                     yield "x", (i, j, t, g)
         for i in range(n):
@@ -158,8 +160,8 @@ class _Universe:
                     yield "r", (i, t, g)
             yield "e", (i,)
         for g in range(G):
-            for l in self.sources[g]:
-                for (a, b) in self.stream_arcs:
+            for l in arcs.sources[g]:
+                for (a, b) in arcs.stream:
                     if b == l:
                         continue
                     for t in range(T):
@@ -190,6 +192,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     bug, not an infeasibility).
     """
     values = _values_of(solution)
+    arcs = arcs_for(instance, arcs)
     universe = _Universe(instance, arcs)
     parts: dict[str, dict[tuple, float]] = {kind: {} for kind in universe.member}
     try:
@@ -202,7 +205,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
     X, Y, Z, W, R, H, E = (parts[kind] for kind in "xyzwrhe")
 
     n, T, G = universe.n, universe.T, universe.G
-    tables = EnergyTables(instance, arcs)
+    tables = arcs.tables
     out: list[Violation] = []
 
     # C13: binaries take values in {0, 1}.
@@ -212,16 +215,11 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
             if kind != "e" and val not in _BINARY:
                 out.append(Violation(f"C13_{VarRef(kind, idx).name}", float(val), "bin", 0.0))
 
-    cover_of: dict[tuple[int, int], list[int]] = {}
-    for g in range(G):
-        for (i, j) in arcs.coverage[g]:
-            cover_of.setdefault((j, g), []).append(i)
-
     # C2: demanded coverage or penalty.
     for g in range(G):
         for j in universe.demand[g]:
             for t in range(T):
-                lhs = sum(X.get((i, j, t, g), 0) for i in cover_of.get((j, g), []))
+                lhs = sum(X.get((i, j, t, g), 0) for i in arcs.covering[g][j])
                 lhs += H.get((j, t, g), 0)
                 if not lhs >= 1.0:
                     out.append(Violation(f"C2_j{j}_t{t}_g{g}", lhs, ">=", 1.0))
@@ -242,15 +240,8 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
                 if not lhs <= 0.0:
                     out.append(Violation(f"C4_i{i}_t{t}_g{g}", lhs, "<=", 0.0))
 
-    stream_arcs = universe.stream_arcs
-    arc_pos = {arc: p for p, arc in enumerate(stream_arcs)}
-    in_s: dict[int, list[tuple[int, int]]] = {j: [] for j in range(n)}
-    out_all: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for (a, b) in arcs.comm:
-        in_s[b].append((a, b))
-    for (a, b) in stream_arcs:
-        out_all[a].append((a, b))
-    sources = universe.sources
+    stream, in_arcs, out_arcs = arcs.stream, arcs.in_arcs, arcs.out_arcs
+    arc_pos = {arc: p for p, arc in enumerate(stream)}
 
     # The stream rows C5 and C7-C9 visit only nonzero z, in (g, l, arc, t)
     # order: with the instance's finite energy constants, a zero z adds an
@@ -271,19 +262,19 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
         for j in sorted(touched[g, l, t]):
             if j == l:
                 continue
-            lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in in_s[j])
-            lhs -= sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_all[j] if b != l)
+            lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in in_arcs[j])
+            lhs -= sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_arcs[j] if b != l)
             if lhs != 0.0:
                 out.append(Violation(f"C5_l{l}_j{j}_t{t}_g{g}", lhs, "=", 0.0))
 
     # C6: stream leaves its source iff the source senses.
     for g in range(G):
-        src = set(sources[g])
+        src = set(arcs.sources[g])
         for l in range(n):
             for t in range(T):
                 lhs = 0.0
                 if l in src:
-                    lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_all[l] if b != l)
+                    lhs = sum(Z.get((l, a, b, t, g), 0) for (a, b) in out_arcs[l] if b != l)
                 lhs -= R.get((l, t, g), 0)
                 if lhs != 0.0:
                     out.append(Violation(f"C6_l{l}_t{t}_g{g}", lhs, "=", 0.0))
@@ -320,7 +311,7 @@ def check_feasibility(instance: Instance, arcs: ArcSets, solution) -> list[Viola
                 for _, _, zv in sorted(received.get((i, t, g), ())):
                     lhs += tables.er[g] * zv
                 for p, _, zv in sorted(sent.get((i, t, g), ())):
-                    lhs += tables.et[stream_arcs[p]][g] * zv
+                    lhs += tables.et[stream[p]][g] * zv
         lhs -= E.get((i,), 0)
         if not lhs <= ENERGY_TOL:  # also flags a NaN energy
             out.append(Violation(f"C9_i{i}", lhs, "<=", 0.0))
@@ -358,8 +349,7 @@ def evaluate(instance: Instance, solution, arcs: ArcSets | None = None) -> Metri
     construction, so ``objective == real_objective + penalty_total`` holds
     exactly, not merely up to rounding.
     """
-    if arcs is None:
-        arcs = build_arcs(instance)
+    arcs = arcs_for(instance, arcs)
     violations = check_feasibility(instance, arcs, solution)
     if violations:
         raise InfeasibleSolutionError(violations)

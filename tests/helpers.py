@@ -6,6 +6,11 @@ import numpy as np
 
 import wsnsched as w
 
+# The benchmark's pool: every (scenario, kind, periods, seed) it lays out.
+POOL_LAYOUTS = [("bench1", "grid", 1, 0), ("bench1", "grid", 3, 0), ("bench2", "grid", 3, 0),
+                ("default", "random", 2, 2), ("bench2", "random", 2, 1)] + [
+                ("default", "random", 1, s) for s in range(1, 7)]
+
 
 def make_instance(
     sensors,

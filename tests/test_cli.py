@@ -124,6 +124,50 @@ def test_oversized_model_exits_2_before_allocating(tmp_path):
     assert not (tmp_path / "sol.json").exists()
 
 
+SPEC = {"format": "wsn-experiment/1", "types": ["grid"], "periods": [1], "seeds": [1],
+        "solver": "heuristic", "scenario": "default"}
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ({**SPEC, "periods": [1.5]}, "periods"),
+    ({**SPEC, "seeds": [1.5]}, "seeds"),
+    ({**SPEC, "periods": ["2"]}, "periods"),
+    ({**SPEC, "periods": [True]}, "periods"),
+    ({**SPEC, "periods": 1}, "list"),
+    ([1], "format"),
+    ({**SPEC, "solver": "exact", "time_limit_s": "x"}, "time_limit_s"),
+    ({**SPEC, "time_limit_s": float("nan")}, "time_limit_s"),
+], ids=["float-period", "float-seed", "string-period", "bool-period", "bare-period",
+        "top-level-list", "string-time-limit", "nan-time-limit"])
+def test_malformed_experiment_spec_exits_2(tmp_path, capsys, doc, needle):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))  # writes the token NaN
+    out_path = tmp_path / "table.csv"
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out_path.exists()
+
+
+def test_oversized_experiment_exits_2_before_allocating(tmp_path):
+    # As for solve above: the experiment's cells pass the same size guard.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, "periods": [1_000_000_000]}))
+    limit = 2 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(w.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsnsched.cli", "experiment", "--spec", str(spec_path),
+         "--out", str(tmp_path / "table.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert f"cap of {MAX_VARIABLES}" in proc.stderr
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_build_solve_validate_render_pipeline(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     lp_path = tmp_path / "model.lp"

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import wsnsched as w
-from helpers import make_instance
+from helpers import (
+    POOL_LAYOUTS,
+    make_instance,
+    tiny_instance,
+    trivial_instance,
+    two_sink_instance,
+)
 
 DEVICE = w.DeviceProfile()
 
@@ -261,6 +267,90 @@ def test_energy_tables_match_pointwise_formulas():
     for g, ph in enumerate(inst.phenomena):
         assert tables.er[g] == pytest.approx(
             w.receive_energy(inst.device, ph, inst.period_length), rel=1e-12)
+
+
+# -- the stream network ---------------------------------------------------------
+
+
+def _assert_network(inst, arcs):
+    """The derived network against a naive derivation from comm, to_sink and
+    coverage: per-node lists filtered out of the whole arc list, sorted."""
+    n, m, dps = len(inst.sensors), len(inst.sinks), len(inst.demand_points)
+    sink_arcs = [(i, n + k) for i, k in arcs.to_sink]
+    # Comm arcs first, then sink arcs: the validator's reports depend on it.
+    assert arcs.stream == tuple(arcs.comm) + tuple(sink_arcs)
+    assert arcs.out_arcs == tuple(
+        tuple(sorted(a for a in arcs.comm + tuple(sink_arcs) if a[0] == i))
+        for i in range(n))
+    assert arcs.in_arcs == tuple(
+        tuple(sorted(a for a in arcs.comm + tuple(sink_arcs) if a[1] == v))
+        for v in range(n + m))
+    assert arcs.sources == tuple(
+        tuple(i for i in range(n) if any(a == i for a, _ in pairs))
+        for pairs in arcs.coverage)
+    assert arcs.covering == tuple(
+        tuple(tuple(sorted(i for i, jj in pairs if jj == j)) for j in range(dps))
+        for pairs in arcs.coverage)
+
+
+@pytest.mark.parametrize("layout", POOL_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
+def test_stream_network_of_the_pool(layout):
+    scenario, kind, periods, seed = layout
+    inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
+    _assert_network(inst, w.build_arcs(inst))
+
+
+def test_stream_network_of_small_instances():
+    for seed in range(20):
+        _assert_network(*tiny_instance(seed))
+    inst = two_sink_instance()
+    arcs = w.build_arcs(inst)
+    _assert_network(inst, arcs)
+    assert arcs.in_arcs[3] and arcs.in_arcs[4]  # both sinks are reachable
+
+
+def test_arcs_hold_one_energy_table():
+    inst = two_sink_instance()
+    arcs = w.build_arcs(inst)
+    assert arcs.tables is arcs.tables
+    fresh = w.EnergyTables(inst, arcs)
+    assert arcs.tables.et == fresh.et and arcs.tables.er == fresh.er
+    assert list(arcs.tables.et) == list(arcs.stream)
+    assert w.build_arcs(inst).tables is not arcs.tables
+
+
+# Every public function that takes an instance with its arcs, called with a
+# solution of the instance and a directory holding it as sol.json and sol.txt.
+ENTRY_POINTS = {
+    "variable_universe": lambda inst, arcs, sol, d: w.variable_universe(inst, arcs),
+    "universe_size": lambda inst, arcs, sol, d: w.universe_size(inst, arcs),
+    "build_model": lambda inst, arcs, sol, d: w.build_model(inst, arcs),
+    "EnergyTables": lambda inst, arcs, sol, d: w.EnergyTables(inst, arcs),
+    "solve_exact": lambda inst, arcs, sol, d: w.solve_exact(inst, arcs),
+    "brute_force_oracle": lambda inst, arcs, sol, d: w.brute_force_oracle(inst, arcs),
+    "solve_heuristic": lambda inst, arcs, sol, d: w.solve_heuristic(inst, arcs),
+    "check_feasibility_empty": lambda inst, arcs, sol, d: w.check_feasibility(inst, arcs, {}),
+    "check_feasibility": lambda inst, arcs, sol, d: w.check_feasibility(inst, arcs, sol),
+    "evaluate": lambda inst, arcs, sol, d: w.evaluate(inst, sol, arcs),
+    "load_solution": lambda inst, arcs, sol, d: w.load_solution(d / "sol.json", inst, arcs),
+    "load_external_solution":
+        lambda inst, arcs, sol, d: w.load_external_solution(d / "sol.txt", inst, arcs),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_arcs_of_another_instance_are_refused(tmp_path, entry):
+    # The same geometry with another battery: every variable of the solution
+    # belongs to both universes, so only the arcs' source differs.
+    inst = trivial_instance()
+    sol = w.solve_heuristic(inst)
+    w.save_solution(sol, tmp_path / "sol.json")
+    (tmp_path / "sol.txt").write_text(
+        "".join(f"{ref.name} = {val}\n" for ref, val in sol.values.items()))
+    call = ENTRY_POINTS[entry]
+    call(inst, w.build_arcs(inst), sol, tmp_path)
+    with pytest.raises(ValueError, match="arc sets were not built from this instance"):
+        call(inst, w.build_arcs(trivial_instance(battery=3.0)), sol, tmp_path)
 
 
 # -- instance invariants ------------------------------------------------------

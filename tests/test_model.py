@@ -6,7 +6,7 @@ import wsnsched as w
 from wsnsched.cli import MAX_VARIABLES
 from wsnsched.model import KIND_ORDER
 from wsnsched.solve import parse_external_solution
-from helpers import make_instance, tiny_instance, trivial_instance
+from helpers import POOL_LAYOUTS, make_instance, tiny_instance, trivial_instance
 
 
 def expected_counts(inst, arcs):
@@ -262,12 +262,6 @@ def test_name_of_wrong_arity_names_the_fields_given():
 def test_external_solution_rejects_aliasing_names():
     with pytest.raises(ValueError, match="line 2: malformed variable name 'y_i00_t0'"):
         parse_external_solution("y_i0_t0 = 1\ny_i00_t0 = 0\n")
-
-
-# The benchmark's pool: every (scenario, kind, periods, seed) it lays out.
-POOL_LAYOUTS = [("bench1", "grid", 1, 0), ("bench1", "grid", 3, 0), ("bench2", "grid", 3, 0),
-                ("default", "random", 2, 2), ("bench2", "random", 2, 1)] + [
-                ("default", "random", 1, s) for s in range(1, 7)]
 
 
 @pytest.mark.parametrize("layout", POOL_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))

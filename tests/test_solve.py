@@ -501,8 +501,9 @@ def test_enumerate_flows_falls_back_to_cheapest_route():
     # bench2 grid has 236 stream arcs, far above the 18-arc cap; sensor 2
     # has no sink in range, so its cheapest route takes a relay.
     inst = w.scenario_instance("bench2", kind="grid", periods=1)
-    s = _Structures(inst, w.build_arcs(inst))
-    assert len(s.stream_arcs) > 18
+    arcs = w.build_arcs(inst)
+    s = _Structures(inst, arcs)
+    assert len(arcs.stream) > 18
     plain = [s.tables.er[0]] * s.n
     flows, complete = _enumerate_flows(s, 2, 0)
     assert not complete
