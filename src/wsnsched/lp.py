@@ -341,7 +341,8 @@ def parse_lp(text: str) -> IlpModel:
         constraints.append(LinearConstraint(toks[k], tuple(terms), _SENSES[toks[at]], rhs))
         k = stop
 
-    # Bounds: one variable's range per line.
+    # Bounds: each line sets the side(s) of a variable's range it names;
+    # the other side keeps its earlier value, by default (0, inf).
     bounds: dict[VarRef, tuple[float, float]] = {}
     sec = sections["bounds"]
     toks = sec.toks
@@ -358,6 +359,7 @@ def parse_lp(text: str) -> IlpModel:
             hi, k = sec.signed_number(k + 3, stop)
         else:
             ref = sec.bound_var(k, stop)
+            lo, hi = bounds.get(ref, (0.0, math.inf))
             if k + 1 < stop and toks[k + 1].lower() == "free":
                 lo, hi = -math.inf, math.inf
                 k += 2
@@ -367,11 +369,11 @@ def parse_lp(text: str) -> IlpModel:
                     raise sec.error("malformed bound", k + 1)
                 value, k = sec.signed_number(k + 2, stop)
                 if sense == "<=":
-                    lo, hi = 0.0, value
+                    hi = value
                 elif sense == ">=":
-                    lo, hi = value, math.inf
+                    lo = value
                 else:
-                    lo, hi = value, value
+                    lo = hi = value
         if k < stop:
             raise sec.error("unexpected token after bound", k)
         bounds[ref] = (lo, hi)

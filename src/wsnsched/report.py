@@ -231,7 +231,11 @@ def save_views(instance: Instance, solution, outdir, kinds=("schedule", "routes"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One table's worth of runs: layout types x period counts x seeds."""
+    """One table's worth of runs: layout types x period counts x seeds.
+
+    ``periods`` and ``seeds`` must hold integers (not bools) and
+    ``time_limit_s`` must be a finite number; anything else is a ValueError.
+    """
 
     types: tuple[str, ...] = ("grid", "random")
     periods: tuple[int, ...] = (1, 2, 3)
@@ -242,8 +246,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "periods", tuple(self.periods))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for key in ("periods", "seeds"):
+            object.__setattr__(self, key, tuple(_integer(val, key) for val in getattr(self, key)))
+        object.__setattr__(self, "time_limit_s", _real(self.time_limit_s, "time_limit_s"))
         for kind in self.types:
             if kind not in ("grid", "random"):
                 raise ValueError(f"unknown layout type {kind!r}")
@@ -275,21 +280,17 @@ _CSV_TYPES = tuple(get_type_hints(ExperimentRow)[name] for name in CSV_COLUMNS)
 
 def spec_from_json(data: dict) -> ExperimentSpec:
     """Read an experiment spec.  ``types``, ``periods`` and ``seeds`` must be
-    JSON lists, ``periods`` and ``seeds`` of integers, and ``time_limit_s``
-    a finite number; anything else is a ValueError."""
+    JSON lists; :class:`ExperimentSpec` checks their values.  Anything else
+    is a ValueError."""
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != EXPERIMENT_FORMAT:
         raise ValueError(f"unsupported experiment format {fmt!r}")
-    kwargs = {key: data[key] for key in ("types", "periods", "seeds", "solver", "scenario")
+    kwargs = {key: data[key] for key in
+              ("types", "periods", "seeds", "solver", "scenario", "time_limit_s")
               if key in data}
     for key in ("types", "periods", "seeds"):
         if not isinstance(kwargs.get(key, []), list):
             raise ValueError(f"field {key} must be a list, got {kwargs[key]!r}")
-    for key in ("periods", "seeds"):
-        if key in kwargs:
-            kwargs[key] = tuple(_integer(val, key) for val in kwargs[key])
-    if "time_limit_s" in data:
-        kwargs["time_limit_s"] = _real(data["time_limit_s"], "time_limit_s")
     return ExperimentSpec(**kwargs)
 
 

@@ -42,18 +42,32 @@ BATTERY_TOL = 1e-9
 # route cost: far above the few ulps by which summation order moves them.
 PRICE_SLACK = 1e-9
 ORACLE_CAP_DEFAULT = 40
+# Above this many stream arcs outside a commodity's source, the exact
+# search takes only its cheapest route instead of every simple path.
+FLOW_ARC_CAP = 18
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Limits for :func:`solve_exact`.
 
-    ``node_limit`` of 0 means unlimited.
+    ``time_limit_s`` must be positive (``inf`` means no limit),
+    ``node_limit`` a nonnegative int (0 means unlimited) and ``gap`` a
+    finite nonnegative relative gap; anything else is a ValueError.
     """
 
     time_limit_s: float = 60.0
     node_limit: int = 0
     gap: float = 0.0
+
+    def __post_init__(self):
+        if not self.time_limit_s > 0:
+            raise ValueError(f"time limit must be positive, got {self.time_limit_s!r}")
+        if (isinstance(self.node_limit, bool) or not isinstance(self.node_limit, int)
+                or self.node_limit < 0):
+            raise ValueError(f"node limit must be a nonnegative integer, got {self.node_limit!r}")
+        if not (math.isfinite(self.gap) and self.gap >= 0):
+            raise ValueError(f"gap must be finite and nonnegative, got {self.gap!r}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +119,6 @@ class _Structures:
             for j in instance.demand_indices(g)
             for t in range(self.T)
         ]
-
-    def route_min(self, l: int, g: int) -> float:
-        """Cheapest route cost from sensor l to any sink for phenomenon g;
-        inf when no sink is reachable."""
-        route = _route(self, l, g, [self.tables.er[g]] * self.n)
-        return math.inf if route is None else route[1]
 
 
 def _route(s: _Structures, src: int, g: int, enter: list[float]):
@@ -208,7 +216,7 @@ def _make_flow(s: _Structures, g: int, chosen: tuple[tuple[int, int], ...]) -> _
                  cost=sum(energy.values()))
 
 
-def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
+def _enumerate_flows(s: _Structures, l: int, g: int):
     """Every simple path that routes one stream from l into a sink.
 
     A depth-first walk over the stream arcs that never re-enters l or a
@@ -218,11 +226,11 @@ def _enumerate_flows(s: _Structures, l: int, g: int, arc_cap: int = 18):
     period when activation costs more than maintenance; the search does
     not certify that case (see :meth:`_ExactSearch.run`).  Returns
     (flows sorted by (cost, arcs), complete); each flow's arcs are sorted.
-    complete is False when the commodity has more than ``arc_cap`` arcs and
-    only the cheapest route was produced.
+    complete is False when the commodity has more than ``FLOW_ARC_CAP``
+    arcs and only the cheapest route was produced.
     """
     n = s.n
-    if len(s.arcs.stream) - len(s.in_arcs[l]) > arc_cap:
+    if len(s.arcs.stream) - len(s.in_arcs[l]) > FLOW_ARC_CAP:
         route = _route(s, l, g, [s.tables.er[g]] * n)
         return ([] if route is None else [_make_flow(s, g, tuple(sorted(route[0])))]), False
 
@@ -260,11 +268,14 @@ class _ExactSearch:
     """DFS branch-and-bound: sensing decisions first, then each sensed
     stream is routed over one of its simple paths to a sink.
 
-    The lower bound amortizes each candidate sensor's sensing cost (the
-    activation penalty plus its cheapest route) over the open demand
-    triples it could still cover, and counts maintenance and activation
-    energy only once they are certain, so it never exceeds the cost of
-    any completion of the current partial assignment.
+    Branching keeps only the decisions ``r_val`` and the cover counts
+    ``cover_count``; the sensing bound is derived from them at each node.
+    It counts the sensing cost (the activation penalty plus the cheapest
+    route, from one backward search per phenomenon) of each triple decided
+    1, and maintenance and activation energy once they are certain.  Each
+    open demand triple adds the least of its penalty and its undecided
+    coverers' sensing costs amortized over the open triples they cover, so
+    the bound never exceeds the cost of any completion of the node.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets, config: SolveConfig):
@@ -277,20 +288,14 @@ class _ExactSearch:
         self.r_list = [
             (i, tt, g) for i in range(s.n) for tt in range(s.T) for g in range(s.G)
         ]
+        lowest = [_route_costs(s, g, [t.er[g]] * s.n) for g in range(s.G)]
         self.route_lb = {
-            (i, g): s.route_min(i, g) if (i, g) in s.sensor_cover else math.inf
+            (i, g): lowest[g][i] if (i, g) in s.sensor_cover else math.inf
             for i in range(s.n)
             for g in range(s.G)
         }
         self.r_val: dict[tuple[int, int, int], int] = {}
         self.cover_count = {key: 0 for key in s.demanded}
-        self.cand_left = {
-            (j, tt, g): len(s.arcs.covering[g][j]) for (j, tt, g) in s.demanded
-        }
-        self.em_active: dict[tuple[int, int], int] = {}
-        self.commit_cost = 0.0
-        self.em_count = 0
-        self.ea0_count = 0
         # Incumbent: the all-off schedule, always feasible.
         self.best_obj = self.eh * len(s.demanded)
         self.best_r: dict[tuple[int, int, int], int] = {}
@@ -351,53 +356,37 @@ class _ExactSearch:
             if val and math.isinf(self.route_lb[(i, g)]):
                 continue  # sensing with no route to any sink is infeasible
             self.r_val[(i, t, g)] = val
-            if val:
-                self.commit_cost += self.eg + self.route_lb[(i, g)]
-                cnt = self.em_active.get((i, t), 0)
-                self.em_active[(i, t)] = cnt + 1
-                if cnt == 0:
-                    self.em_count += 1
-                    if t == 0:
-                        self.ea0_count += 1
-                for j in covers:
-                    self.cover_count[(j, t, g)] += 1
             for j in covers:
-                self.cand_left[(j, t, g)] -= 1
+                self.cover_count[(j, t, g)] += val
             self._branch_r(d + 1)
             for j in covers:
-                self.cand_left[(j, t, g)] += 1
-            if val:
-                self.commit_cost -= self.eg + self.route_lb[(i, g)]
-                cnt = self.em_active[(i, t)] - 1
-                self.em_active[(i, t)] = cnt
-                if cnt == 0:
-                    self.em_count -= 1
-                    if t == 0:
-                        self.ea0_count -= 1
-                for j in covers:
-                    self.cover_count[(j, t, g)] -= 1
+                self.cover_count[(j, t, g)] -= val
             del self.r_val[(i, t, g)]
 
     def _bound_r(self) -> float:
-        bound = self.commit_cost + self.em * self.em_count + self.ea * self.ea0_count
+        commit = 0.0
+        active: set[tuple[int, int]] = set()
+        for (i, t, g), val in self.r_val.items():
+            if val:
+                commit += self.eg + self.route_lb[(i, g)]
+                active.add((i, t))
+        bound = (commit + self.em * len(active)
+                 + self.ea * sum(1 for (_, t) in active if t == 0))
+        share: dict[tuple[int, int, int], float] = {}  # per undecided (i, t, g)
         for (j, t, g), cc in self.cover_count.items():
             if cc > 0:
                 continue
-            if self.cand_left[(j, t, g)] == 0:
-                bound += self.eh
-                continue
             cheapest = self.eh
             for i in self.s.arcs.covering[g][j]:
-                if (i, t, g) in self.r_val:
+                key = (i, t, g)
+                if key in self.r_val:
                     continue
-                k = sum(
-                    1
-                    for jj in self.s.sensor_cover[(i, g)]
-                    if self.cover_count[(jj, t, g)] == 0
-                )
-                share = (self.eg + self.route_lb[(i, g)]) / k
-                if share < cheapest:
-                    cheapest = share
+                if key not in share:
+                    k = sum(1 for jj in self.s.sensor_cover[(i, g)]
+                            if self.cover_count[(jj, t, g)] == 0)
+                    share[key] = (self.eg + self.route_lb[(i, g)]) / k
+                if share[key] < cheapest:
+                    cheapest = share[key]
             bound += cheapest
         return bound
 
@@ -407,12 +396,10 @@ class _ExactSearch:
         uncovered = sum(1 for cc in self.cover_count.values() if cc == 0)
         self.active = sorted(key for key, val in self.r_val.items() if val)
         self.obj_base = self.eh * uncovered + self.eg * len(self.active)
+        self.y_state = {(i, t) for (i, t, _) in self.active}
         self.en = [0.0] * self.s.n
-        self.y_state = set()
-        for (i, t), cnt in self.em_active.items():
-            if cnt > 0:
-                self.y_state.add((i, t))
-                self.en[i] += self.em
+        for (i, _) in self.y_state:
+            self.en[i] += self.em
         self.flow_choice = {}
         self._branch_flows(0)
 

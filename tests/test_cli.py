@@ -217,6 +217,27 @@ def test_exact_node_limit_exits_3(tmp_path, capsys):
                  "--solution", str(sol_path)]) == 0
 
 
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--node-limit", "-1", "node limit"),
+    ("--time-limit", "nan", "time limit"),
+    ("--time-limit", "0", "time limit"),
+    ("--time-limit", "-5", "time limit"),
+    ("--gap", "nan", "gap"),
+    ("--gap", "-1", "gap"),
+    ("--gap", "inf", "gap"),
+])
+def test_exact_meaningless_limit_exits_2(tmp_path, capsys, flag, value, needle):
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    rc = main(["solve", "--instance", str(inst_path), "--method", "exact",
+               "--out", str(sol_path), flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
+    assert not sol_path.exists()
+
+
 def test_oracle_solve_small(tmp_path, capsys):
     inst_path = _gen_small(tmp_path, extra=("--radius", "3", "--rate", "2"))
     sol_path = tmp_path / "sol.json"

@@ -1,0 +1,78 @@
+"""Differential test: the exact search against its frozen earlier version.
+
+``reference_exact`` kept the sensing bound's parts as running counters
+and priced each sensor's cheapest route with a forward search.  The
+package derives the bound from the decisions at each node and takes the
+routes' prices from one backward search per phenomenon.  That must change
+the work and nothing else: the solution JSON, apart from its wall time,
+must be the same text, and the certificate the same flag, whether the
+search completes or stops at its node budget.
+
+The benchmark's layouts have one period, so they cannot tell apart the
+periods of a sensor's share of the open demand; the two-period layout at
+a 20 000-node budget does.  The distance-dependent grids are where a
+backward route price can differ from the forward one by rounding.
+"""
+
+import json
+import math
+
+import pytest
+
+import wsnsched as w
+from wsnsched.instance import DeviceProfile, ScenarioConfig, TransmitModel, gen_grid
+from wsnsched.solve import _route_costs, _Structures, solution_to_json
+from helpers import tiny_instance
+import reference_exact as ref
+
+
+def _text(solution):
+    doc = solution_to_json(solution)
+    del doc["wall_time_s"]
+    return json.dumps(doc, indent=2)
+
+
+def _assert_same(inst, arcs, node_limit=0):
+    config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
+    got, got_cert = w.solve_exact(inst, arcs, config=config)
+    want, want_cert = ref.solve_exact(inst, arcs, config=config)
+    assert _text(got) == _text(want)
+    assert got_cert == want_cert
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_exact_matches_reference_on_tiny(seed):
+    _assert_same(*tiny_instance(seed))
+
+
+# The benchmark's exact_budget layouts: default random T=1, seeds 1-6.
+@pytest.mark.parametrize("nodes", [500, 5000])
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_exact_matches_reference_on_layouts(seed, nodes):
+    inst = w.scenario_instance("default", kind="random", periods=1, seed=seed)
+    _assert_same(inst, w.build_arcs(inst), nodes)
+
+
+def test_exact_matches_reference_over_two_periods():
+    inst = w.scenario_instance("default", kind="random", periods=2, seed=1)
+    _assert_same(inst, w.build_arcs(inst), 20000)
+
+
+def _distance_grid(battery, comm_radius):
+    """The default scenario's phenomena on a 4x4 sensor grid over two
+    periods, with transmit energy that grows with distance."""
+    device = DeviceProfile(battery_capacity=battery,
+                           transmit=TransmitModel(distance_coef=1e-5))
+    config = ScenarioConfig(periods=2, comm_radius=comm_radius, device=device)
+    return gen_grid(4, 4, 4, 4, (10.0, 10.0), config)
+
+
+@pytest.mark.parametrize("battery, comm_radius", [(8.0, 6.0), (20.0, 4.0)])
+def test_exact_matches_reference_on_distance_grids(battery, comm_radius):
+    inst = _distance_grid(battery, comm_radius)
+    arcs = w.build_arcs(inst)
+    s = _Structures(inst, arcs)
+    # Some backward route prices differ from the forward ones by rounding.
+    assert any(_route_costs(s, g, [s.tables.er[g]] * s.n)[i] != ref.route_min(s, i, g)
+               for g in range(s.G) for i in range(s.n))
+    _assert_same(inst, arcs, 3000)

@@ -176,6 +176,23 @@ def test_free_bound_roundtrip():
     assert w.export_lp(w.parse_lp(text)) == text
 
 
+@pytest.mark.parametrize("lines, lo, hi", [
+    (["e_i0 <= 4"], 0.0, 4.0),
+    (["e_i0 >= 1"], 1.0, float("inf")),
+    (["e_i0 >= 1", "e_i0 <= 4"], 1.0, 4.0),
+    (["e_i0 <= 4", "e_i0 >= 1"], 1.0, 4.0),
+    (["e_i0 free", "e_i0 <= 4"], -float("inf"), 4.0),
+    (["e_i0 >= 1", "e_i0 = 2"], 2.0, 2.0),
+    (["e_i0 >= 1", "0 <= e_i0 <= 3"], 0.0, 3.0),
+    (["e_i0 <= 4", "e_i0 free"], -float("inf"), float("inf")),
+])
+def test_bounds_set_only_the_side_they_name(lines, lo, hi):
+    # The other side keeps its earlier value, by default (0, inf).
+    body = "".join(f" {line}\n" for line in lines)
+    model = w.parse_lp(f"Minimize\n obj: e_i0\nBounds\n{body}End\n")
+    assert model.bounds == ((w.VarRef("e", (0,)), lo, hi),)
+
+
 def test_numbers_take_ascii_digits_only():
     # U+0663, ARABIC-INDIC DIGIT THREE: float() reads it as 3.
     with pytest.raises(LpParseError, match="unexpected character") as err:

@@ -178,3 +178,19 @@ def test_spec_validation():
         w.ExperimentSpec(solver="simplex")
     with pytest.raises(ValueError):
         w.ExperimentSpec(seeds=())
+
+
+# The values the CLI spec cases in test_cli reject, on the library path.
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"periods": (1.5,)}, "periods"),
+    ({"seeds": (1.5,)}, "seeds"),
+    ({"periods": ("2",)}, "periods"),
+    ({"periods": (True,)}, "periods"),
+    ({"solver": "exact", "time_limit_s": "x"}, "time_limit_s"),
+    ({"time_limit_s": float("nan")}, "time_limit_s"),
+], ids=["float-period", "float-seed", "string-period", "bool-period",
+        "string-time-limit", "nan-time-limit"])
+def test_spec_rejects_ill_typed_values(kwargs, needle):
+    with pytest.raises(ValueError, match=needle):
+        w.ExperimentSpec(**{"types": ("grid",), "periods": (1,), "seeds": (1,),
+                            "scenario": "default", **kwargs})
