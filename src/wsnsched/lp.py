@@ -133,6 +133,12 @@ def _is_number(text: str) -> bool:
     return text[0] in "0123456789."
 
 
+def _is_name(text: str) -> bool:
+    """Whether a token is a name, the only token that may label a row:
+    not a number, a sense, a sign or ':'."""
+    return text[0].isalpha()
+
+
 class _Section:
     """One section's lines, split into a flat list of tokens when it ends.
 
@@ -316,7 +322,7 @@ def parse_lp(text: str) -> IlpModel:
     toks = sec.toks
     k = 0
     if len(toks) > 1 and toks[1] == ":":
-        if _is_number(toks[0]) or toks[0] in _SENSES or toks[0] in ("+", "-"):
+        if not _is_name(toks[0]):
             raise sec.error("malformed objective label", 0)
         k = 2
     terms, k = sec.expression(k)
@@ -326,12 +332,18 @@ def parse_lp(text: str) -> IlpModel:
 
     # Constraints.
     constraints: list[LinearConstraint] = []
+    labels: set[str] = set()
     sec = sections["constraints"]
     toks = sec.toks
     k = 0
     while k < len(toks):
         if k + 1 == len(toks) or toks[k + 1] != ":":
             raise sec.error("expected 'label:' before constraint", k)
+        if not _is_name(toks[k]):
+            raise sec.error("malformed constraint label", k)
+        if toks[k] in labels:
+            raise sec.error(f"duplicate constraint label {toks[k]!r}", k)
+        labels.add(toks[k])
         terms, at = sec.expression(k + 2)
         if at == len(toks):
             raise sec.error("constraint missing its sense", k)

@@ -268,14 +268,17 @@ class _ExactSearch:
     """DFS branch-and-bound: sensing decisions first, then each sensed
     stream is routed over one of its simple paths to a sink.
 
-    Branching keeps only the decisions ``r_val`` and the cover counts
-    ``cover_count``; the sensing bound is derived from them at each node.
-    It counts the sensing cost (the activation penalty plus the cheapest
-    route, from one backward search per phenomenon) of each triple decided
-    1, and maintenance and activation energy once they are certain.  Each
-    open demand triple adds the least of its penalty and its undecided
-    coverers' sensing costs amortized over the open triples they cover, so
-    the bound never exceeds the cost of any completion of the node.
+    The sensing bound counts the sensing cost (the activation penalty plus
+    the cheapest route, from one backward search per phenomenon) of each
+    triple decided 1, and maintenance and activation energy once they are
+    certain.  Each open demand triple adds the least of its penalty and its
+    undecided coverers' sensing costs amortized over the open triples they
+    cover, so the bound never exceeds the cost of any completion of the
+    node.  Its parts are kept up to date as decisions are set and undone:
+    the committed cost and active-pair counts travel down the recursion,
+    and beside each demand triple's cover count each sensing triple keeps
+    its count of open demand triples, which changes only when a cover
+    count leaves or returns to 0.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets, config: SolveConfig):
@@ -285,6 +288,7 @@ class _ExactSearch:
         t = s.tables
         self.em, self.ea, self.eb = t.em, t.ea, t.eb
         self.eh, self.eg = t.eh, t.eg
+        # Sensing triple (i, t, g) sits at position (i*T + t)*G + g.
         self.r_list = [
             (i, tt, g) for i in range(s.n) for tt in range(s.T) for g in range(s.G)
         ]
@@ -294,8 +298,20 @@ class _ExactSearch:
             for i in range(s.n)
             for g in range(s.G)
         }
+        # Per sensing position: its cost and the demand triples it covers.
+        self.sense_cost = [self.eg + self.route_lb[(i, g)] for (i, _, g) in self.r_list]
+        slot = {key: q for q, key in enumerate(s.demanded)}
+        self.covers = [[slot[(j, tt, g)] for j in s.sensor_cover.get((i, g), ())]
+                       for (i, tt, g) in self.r_list]
+        # Per demand triple: its coverers' positions, last position first.
+        self.coverers = [
+            [(i * s.T + tt) * s.G + g for i in reversed(arcs.covering[g][j])]
+            for (j, tt, g) in s.demanded
+        ]
         self.r_val: dict[tuple[int, int, int], int] = {}
-        self.cover_count = {key: 0 for key in s.demanded}
+        self.cover_count = [0] * len(s.demanded)  # in s.demanded order
+        self.open_count = [len(q) for q in self.covers]  # in r_list order
+        self.on_pairs: set[tuple[int, int]] = set()  # (i, t) with a sensing 1
         # Incumbent: the all-off schedule, always feasible.
         self.best_obj = self.eh * len(s.demanded)
         self.best_r: dict[tuple[int, int, int], int] = {}
@@ -330,7 +346,7 @@ class _ExactSearch:
     def run(self) -> bool:
         completed = True
         try:
-            self._branch_r(0)
+            self._branch_r(0, 0.0, 0, 0)
         except _SearchLimit:
             completed = False
         # The search keeps each sensor on only where it senses or carries a
@@ -343,57 +359,66 @@ class _ExactSearch:
 
     # -- sensing phase --
 
-    def _branch_r(self, d: int):
+    def _branch_r(self, d: int, commit: float, on: int, on0: int):
+        """Node at depth d: ``commit`` is the decided-1 triples' sensing
+        cost, summed in decision order; ``on`` and ``on0`` count the
+        active (sensor, period) pairs, in all periods and in period 0."""
         self._tick()
-        if self._bound_r() >= self.best_obj - self._slack():
+        if self._bound_r(d, commit, on, on0) >= self.best_obj - self._slack():
             return
         if d == len(self.r_list):
             self._start_routing()
             return
-        i, t, g = self.r_list[d]
-        covers = self.s.sensor_cover.get((i, g), ())
-        for val in (1, 0):
-            if val and math.isinf(self.route_lb[(i, g)]):
-                continue  # sensing with no route to any sink is infeasible
-            self.r_val[(i, t, g)] = val
-            for j in covers:
-                self.cover_count[(j, t, g)] += val
-            self._branch_r(d + 1)
-            for j in covers:
-                self.cover_count[(j, t, g)] -= val
-            del self.r_val[(i, t, g)]
+        key = self.r_list[d]
+        i, t, _ = key
+        cost = self.sense_cost[d]
+        if not math.isinf(cost):  # sensing with no route to any sink is infeasible
+            self.r_val[key] = 1
+            fresh = (i, t) not in self.on_pairs
+            if fresh:
+                self.on_pairs.add((i, t))
+            self._cover(d, 1)
+            self._branch_r(d + 1, commit + cost, on + fresh, on0 + (fresh and t == 0))
+            self._cover(d, -1)
+            if fresh:
+                self.on_pairs.discard((i, t))
+            del self.r_val[key]
+        self.r_val[key] = 0
+        self._branch_r(d + 1, commit, on, on0)
+        del self.r_val[key]
 
-    def _bound_r(self) -> float:
-        commit = 0.0
-        active: set[tuple[int, int]] = set()
-        for (i, t, g), val in self.r_val.items():
-            if val:
-                commit += self.eg + self.route_lb[(i, g)]
-                active.add((i, t))
-        bound = (commit + self.em * len(active)
-                 + self.ea * sum(1 for (_, t) in active if t == 0))
-        share: dict[tuple[int, int, int], float] = {}  # per undecided (i, t, g)
-        for (j, t, g), cc in self.cover_count.items():
+    def _cover(self, d: int, step: int):
+        """Add step (1 to sense, -1 to undo) to the cover counts of the
+        demand triples r_list[d] covers; where a count leaves or returns to
+        0, the triple's coverers gain or lose an open triple."""
+        count, open_count = self.cover_count, self.open_count
+        edge = 1 if step > 0 else 0
+        for q in self.covers[d]:
+            count[q] += step
+            if count[q] == edge:
+                for p in self.coverers[q]:
+                    open_count[p] -= step
+
+    def _bound_r(self, d: int, commit: float, on: int, on0: int) -> float:
+        bound = commit + self.em * on + self.ea * on0
+        open_count, cost = self.open_count, self.sense_cost
+        for cc, coverers in zip(self.cover_count, self.coverers):
             if cc > 0:
                 continue
             cheapest = self.eh
-            for i in self.s.arcs.covering[g][j]:
-                key = (i, t, g)
-                if key in self.r_val:
-                    continue
-                if key not in share:
-                    k = sum(1 for jj in self.s.sensor_cover[(i, g)]
-                            if self.cover_count[(jj, t, g)] == 0)
-                    share[key] = (self.eg + self.route_lb[(i, g)]) / k
-                if share[key] < cheapest:
-                    cheapest = share[key]
+            for p in coverers:
+                if p < d:
+                    break  # this coverer and the rest are decided
+                share = cost[p] / open_count[p]
+                if share < cheapest:
+                    cheapest = share
             bound += cheapest
         return bound
 
     # -- routing phase --
 
     def _start_routing(self):
-        uncovered = sum(1 for cc in self.cover_count.values() if cc == 0)
+        uncovered = self.cover_count.count(0)
         self.active = sorted(key for key, val in self.r_val.items() if val)
         self.obj_base = self.eh * uncovered + self.eg * len(self.active)
         self.y_state = {(i, t) for (i, t, _) in self.active}

@@ -158,6 +158,15 @@ def tiny_instance(seed, max_free=16, max_binaries=40):
     raise AssertionError(f"no tiny instance found for seed {seed}")
 
 
+def distance_grid(battery, comm_radius):
+    """The default scenario's phenomena on a 4x4 sensor grid over two
+    periods, with transmit energy that grows with distance."""
+    device = w.DeviceProfile(battery_capacity=battery,
+                             transmit=w.TransmitModel(distance_coef=1e-5))
+    config = w.ScenarioConfig(periods=2, comm_radius=comm_radius, device=device)
+    return w.gen_grid(4, 4, 4, 4, (10.0, 10.0), config)
+
+
 def values_by_kind(solution, kind):
     """Map index tuple -> value for one variable kind of a solution."""
     return {ref.indices: val for ref, val in solution.values.items()

@@ -6,7 +6,8 @@ Everything below the imports is a verbatim copy of that version's import
 half.  It raises the package's ``LpParseError``, so the differential test
 in ``test_lp_reference`` compares messages, lines and columns as well as
 the models.  Its number pattern still takes any Unicode digit, which the
-package no longer does.
+package no longer does.  It has since gained the package's two label
+rules: a label must be a name, and constraint labels must be unique.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def _tokenize_line(line: str, lineno: int, out: list[_Token]) -> None:
 
 def _is_number(text: str) -> bool:
     return text[0].isdigit() or text[0] == "."
+
+
+def _is_name(text: str) -> bool:
+    return text[0].isalpha()
 
 
 def _number(tok: _Token) -> float:
@@ -200,7 +205,7 @@ def parse_lp(text: str) -> IlpModel:
     p = _Parser(sections["objective"])
     first, second = p.peek(0), p.peek(1)
     if first is not None and second is not None and second.text == ":":
-        if _is_number(first.text) or first.text in _SENSES or first.text in ("+", "-"):
+        if not _is_name(first.text):
             raise LpParseError("malformed objective label", first.line, first.col)
         p.pos += 2
     objective = tuple(p.parse_expression())
@@ -209,6 +214,7 @@ def parse_lp(text: str) -> IlpModel:
 
     # Constraints.
     constraints: list[LinearConstraint] = []
+    labels: set[str] = set()
     p = _Parser(sections.get("constraints", []))
     while p.peek() is not None:
         name_tok = p.next()
@@ -216,6 +222,12 @@ def parse_lp(text: str) -> IlpModel:
         if colon is None or colon.text != ":":
             raise LpParseError("expected 'label:' before constraint",
                                name_tok.line, name_tok.col)
+        if not _is_name(name_tok.text):
+            raise LpParseError("malformed constraint label", name_tok.line, name_tok.col)
+        if name_tok.text in labels:
+            raise LpParseError(f"duplicate constraint label {name_tok.text!r}",
+                               name_tok.line, name_tok.col)
+        labels.add(name_tok.text)
         p.pos += 1
         terms = p.parse_expression()
         sense_tok = p.peek()

@@ -1,0 +1,87 @@
+"""The exact search's sensing bound against the same bound derived from
+scratch.
+
+``_ExactSearch`` keeps the bound's parts up to date as it sets and undoes
+decisions.  ``derived_bound`` below recomputes the bound from the
+decisions and cover counts alone, as the search once did at every node,
+with the same float operands in the same order.  At every sensing node the
+two must be equal to the last bit: not close, equal, since a bound that
+moves by one ulp can prune a different node and change the schedule.
+"""
+
+import math
+
+import pytest
+
+import wsnsched as w
+from wsnsched.solve import _ExactSearch
+from helpers import distance_grid
+
+
+def derived_bound(search) -> float:
+    """The sensing bound of the search's current node, from ``r_val`` and
+    the cover counts only."""
+    commit = 0.0
+    active: set[tuple[int, int]] = set()
+    for (i, t, g), val in search.r_val.items():
+        if val:
+            commit += search.eg + search.route_lb[(i, g)]
+            active.add((i, t))
+    bound = (commit + search.em * len(active)
+             + search.ea * sum(1 for (_, t) in active if t == 0))
+    cover_count = dict(zip(search.s.demanded, search.cover_count))
+    share: dict[tuple[int, int, int], float] = {}  # per undecided (i, t, g)
+    for (j, t, g), cc in cover_count.items():
+        if cc > 0:
+            continue
+        cheapest = search.eh
+        for i in search.s.arcs.covering[g][j]:
+            key = (i, t, g)
+            if key in search.r_val:
+                continue
+            if key not in share:
+                k = sum(1 for jj in search.s.sensor_cover[(i, g)]
+                        if cover_count[(jj, t, g)] == 0)
+                share[key] = (search.eg + search.route_lb[(i, g)]) / k
+            if share[key] < cheapest:
+                cheapest = share[key]
+        bound += cheapest
+    return bound
+
+
+def _check_every_node(monkeypatch, inst, node_limit) -> int:
+    """Solve with the bound checked at every sensing node; returns how many
+    nodes were checked."""
+    package_bound = _ExactSearch._bound_r
+    checked = 0
+
+    def bound(search, d, commit, on, on0):
+        nonlocal checked
+        got = package_bound(search, d, commit, on, on0)
+        assert len(search.r_val) == d
+        assert got == derived_bound(search), f"node {search.nodes}, depth {d}"
+        checked += 1
+        return got
+
+    monkeypatch.setattr(_ExactSearch, "_bound_r", bound)
+    config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
+    w.solve_exact(inst, config=config)
+    return checked
+
+
+# The benchmark's exact_budget layouts: default random T=1, seeds 1-6.
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_bound_is_derived_bound_on_layouts(monkeypatch, seed):
+    inst = w.scenario_instance("default", kind="random", periods=1, seed=seed)
+    assert _check_every_node(monkeypatch, inst, 500) > 100
+
+
+# More than one period: only here can period-0 activation go wrong.
+@pytest.mark.parametrize("periods", [2, 3])
+def test_bound_is_derived_bound_over_periods(monkeypatch, periods):
+    inst = w.scenario_instance("default", kind="random", periods=periods, seed=1)
+    assert _check_every_node(monkeypatch, inst, 10000) > 3000
+
+
+def test_bound_is_derived_bound_on_distance_grid(monkeypatch):
+    assert _check_every_node(monkeypatch, distance_grid(8.0, 6.0), 3000) > 2000

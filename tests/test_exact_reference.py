@@ -1,17 +1,20 @@
 """Differential test: the exact search against its frozen earlier version.
 
-``reference_exact`` kept the sensing bound's parts as running counters
-and priced each sensor's cheapest route with a forward search.  The
-package derives the bound from the decisions at each node and takes the
-routes' prices from one backward search per phenomenon.  That must change
-the work and nothing else: the solution JSON, apart from its wall time,
-must be the same text, and the certificate the same flag, whether the
-search completes or stops at its node budget.
+``reference_exact`` kept the sensing bound's parts as running counters of
+its own and priced each sensor's cheapest route with a forward search.
+The package keeps other counters (each sensing triple's count of open
+demand triples beside the cover counts, and the committed cost carried
+down the recursion) and takes the routes' prices from one backward search
+per phenomenon.  That must change the work and nothing else: the solution
+JSON, apart from its wall time, must be the same text, and the certificate
+the same flag, whether the search completes or stops at its node budget.
 
 The benchmark's layouts have one period, so they cannot tell apart the
-periods of a sensor's share of the open demand; the two-period layout at
-a 20 000-node budget does.  The distance-dependent grids are where a
-backward route price can differ from the forward one by rounding.
+periods of a sensor's share of the open demand; the two- and three-period
+layouts do.  The distance-dependent grids are where a backward route price
+can differ from the forward one by rounding.  Most tiny instances have the
+all-penalty schedule as their optimum; the seeds whose optimum senses
+something must also agree with the exhaustive oracle.
 """
 
 import json
@@ -20,9 +23,8 @@ import math
 import pytest
 
 import wsnsched as w
-from wsnsched.instance import DeviceProfile, ScenarioConfig, TransmitModel, gen_grid
 from wsnsched.solve import _route_costs, _Structures, solution_to_json
-from helpers import tiny_instance
+from helpers import distance_grid, tiny_instance
 import reference_exact as ref
 
 
@@ -38,6 +40,7 @@ def _assert_same(inst, arcs, node_limit=0):
     want, want_cert = ref.solve_exact(inst, arcs, config=config)
     assert _text(got) == _text(want)
     assert got_cert == want_cert
+    return got, got_cert
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -58,18 +61,32 @@ def test_exact_matches_reference_over_two_periods():
     _assert_same(inst, w.build_arcs(inst), 20000)
 
 
-def _distance_grid(battery, comm_radius):
-    """The default scenario's phenomena on a 4x4 sensor grid over two
-    periods, with transmit energy that grows with distance."""
-    device = DeviceProfile(battery_capacity=battery,
-                           transmit=TransmitModel(distance_coef=1e-5))
-    config = ScenarioConfig(periods=2, comm_radius=comm_radius, device=device)
-    return gen_grid(4, 4, 4, 4, (10.0, 10.0), config)
+def test_exact_matches_reference_over_three_periods():
+    inst = w.scenario_instance("default", kind="random", periods=3, seed=1)
+    _assert_same(inst, w.build_arcs(inst), 5000)
+
+
+# The tiny_instance seeds in 50-199 whose oracle optimum senses at least
+# one triple; in the rest the all-penalty schedule is optimal.
+SENSING_SEEDS = [55, 56, 62, 66, 71, 76, 78, 80, 84, 86, 87, 89, 97, 102, 106, 109,
+                 110, 115, 116, 128, 132, 133, 137, 143, 144, 145, 146, 148, 155,
+                 159, 160, 167, 178, 180, 186, 188, 190, 191, 194, 196]
+
+
+@pytest.mark.parametrize("seed", SENSING_SEEDS)
+def test_exact_matches_reference_and_oracle_when_sensing(seed):
+    inst, arcs = tiny_instance(seed)
+    oracle = w.brute_force_oracle(inst, arcs)
+    assert any(ref.kind == "r" and val for ref, val in oracle.values.items())
+    exact, certificate = _assert_same(inst, arcs)
+    assert certificate
+    assert w.evaluate(inst, exact, arcs).objective == pytest.approx(
+        w.evaluate(inst, oracle, arcs).objective, rel=1e-9)
 
 
 @pytest.mark.parametrize("battery, comm_radius", [(8.0, 6.0), (20.0, 4.0)])
 def test_exact_matches_reference_on_distance_grids(battery, comm_radius):
-    inst = _distance_grid(battery, comm_radius)
+    inst = distance_grid(battery, comm_radius)
     arcs = w.build_arcs(inst)
     s = _Structures(inst, arcs)
     # Some backward route prices differ from the forward ones by rounding.

@@ -168,6 +168,39 @@ def test_constraint_missing_rhs_error_column():
     assert (err.value.line, err.value.col) == (4, 12)
 
 
+@pytest.mark.parametrize("rows, message, line, col", [
+    # A duplicate and a numeric label together: the duplicate comes first.
+    ([" c: e_i0 <= 1", " c: e_i0 >= 0", " 5: e_i0 <= 2"], "duplicate constraint label 'c'", 5, 2),
+    ([" c: e_i0 <= 1", "  5: e_i0 <= 2"], "malformed constraint label", 5, 3),
+    ([" 5: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" .5: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" +: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" -: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" <=: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" =: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" :: e_i0 <= 2"], "malformed constraint label", 4, 2),
+    ([" a: e_i0 <= 1", " b: e_i0 <= 2", " a: e_i0 <= 3"], "duplicate constraint label 'a'", 6, 2),
+])
+def test_constraint_labels_are_unique_names(rows, message, line, col):
+    body = "".join(f"{row}\n" for row in rows)
+    with pytest.raises(LpParseError) as err:
+        w.parse_lp(f"Minimize\n obj: e_i0\nSubject To\n{body}End\n")
+    assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
+@pytest.mark.parametrize("label", ["5", "+", "-", "<=", "=", ":"])
+def test_objective_label_must_be_a_name(label):
+    with pytest.raises(LpParseError, match="malformed objective label") as err:
+        w.parse_lp(f"Minimize\n {label}: e_i0\nEnd\n")
+    assert (err.value.line, err.value.col) == (2, 2)
+
+
+def test_labels_may_differ_in_case_or_name_a_variable():
+    model = w.parse_lp("Minimize\n e_i0: e_i0\nSubject To\n c: e_i0 <= 1\n C: e_i0 >= 0\n"
+                       " e_i0: e_i0 <= 2\nEnd\n")
+    assert [c.tag for c in model.constraints] == ["c", "C", "e_i0"]
+
+
 def test_free_bound_roundtrip():
     model = w.parse_lp("Minimize\n obj: e_i0\nBounds\n e_i0 free\nEnd\n")
     assert model.bounds == ((w.VarRef("e", (0,)), -float("inf"), float("inf")),)
