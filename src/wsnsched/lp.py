@@ -7,12 +7,19 @@ Export is deterministic and numbers are written with ``repr`` precision,
 so export -> parse -> export reproduces the file byte for byte.  A bound
 of (-inf, inf) is written ``name free``.
 
-Import splits each section's lines into a flat list of token strings with
+Import reads the text a block of ``_BLOCK_LINES`` lines at a time, so what
+it holds beyond the model it builds is about one block's lines and tokens.
+Each section's lines in a block become a flat list of token strings with
 one ``findall``; the lines are well formed exactly when the tokens cover
-every character but whitespace.  A token's line and column are recomputed
-from its source line only when an error is raised.  Numbers take ASCII
-digits only, as variable names do.  A literal that overflows to infinity is
-rejected, since export could not write it back.
+every character but whitespace.  A row that runs past the end of a block
+carries its unread tokens into the next one.  A token's line and column are
+recomputed from its source line only when an error is raised, and a row
+error is raised only once the rest of the file has been read, so that a
+section or character error anywhere comes first: the errors are the same
+whatever the block size.  Numbers take ASCII digits only, as variable names
+do.  A literal that overflows to infinity is rejected, since export could
+not write it back.  Every unit coefficient shares the one ``(ref, 1.0)`` or
+``(ref, -1.0)`` of its variable, as in :func:`~wsnsched.model.build_model`.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ import bisect
 import math
 import re
 from functools import cached_property
+from itertools import chain
 
-from .model import IlpModel, LinearConstraint, VarRef, parse_var_name
+from .model import IlpModel, LinearConstraint, VarRef, gc_paused, parse_var_name
 
 HEADER_COMMENT = "\\ wsn-ilp/1"
 
@@ -98,8 +106,8 @@ def export_lp(model: IlpModel) -> str:
         out.append("Binaries")
         for k in range(0, len(binaries), _NAMES_PER_LINE):
             out.append(" " + " ".join(binaries[k:k + _NAMES_PER_LINE]))
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out.append("End\n")  # the join then ends the text with a newline
+    return "\n".join(out)
 
 
 # -- import --------------------------------------------------------------------
@@ -128,6 +136,10 @@ _SECTION_WORDS = {
     "end": "end",
 }
 
+# Import reads this many lines at a time: a block's lines, and their tokens,
+# are parsed and dropped before the next block is read.
+_BLOCK_LINES = 1024
+
 
 def _is_number(text: str) -> bool:
     return text[0] in "0123456789."
@@ -139,47 +151,76 @@ def _is_name(text: str) -> bool:
     return text[0].isalpha()
 
 
-class _Section:
-    """One section's lines, split into a flat list of tokens when it ends.
+def _blocks(text: str):
+    """The lines of ``text.splitlines()``, in blocks that end after every
+    _BLOCK_LINES-th newline, each with the number of its first line.  A cut
+    just after a newline is a cut between lines, so the blocks' lines are
+    the text's lines."""
+    pos, first = 0, 1
+    while pos < len(text):
+        end = pos
+        for _ in range(_BLOCK_LINES):
+            end = text.find("\n", end) + 1
+            if not end:
+                end = len(text)
+                break
+        lines = text[pos:end].splitlines()
+        yield first, lines
+        first += len(lines)
+        pos = end
 
-    Parsing walks the tokens by index; their line numbers and columns are
-    recomputed only as needed.  ``names`` is shared by the sections of one
-    file and maps each variable name to its one :class:`VarRef`.
+
+class _Block:
+    """One section's lines from one block, split into tokens, after the
+    tokens carried over from the section's previous block.
+
+    Parsing walks the tokens by index.  A carried token keeps the (line,
+    start column, end column) it was read at; the others' lines and columns
+    are recomputed from the block's lines only as needed.
     """
 
-    def __init__(self, names: dict[str, VarRef]):
-        self.names = names
-        self.codes: list[str] = []  # non-blank lines, comments cut off
-        self.linenos: list[int] = []
-        self.toks: list[str] = []
-
-    def close(self) -> None:
-        """Split the lines into tokens; raise at the first character no token covers."""
-        text = "\n".join(self.codes)
-        self.toks = _TOKEN_RE.findall(text)
-        # findall skips what no token matches, so the tokens cover every
-        # character but whitespace exactly when the lines are well formed.
-        if sum(map(len, self.toks)) != len("".join(text.split())):
+    def __init__(self, carried_toks: list[str], carried: list[tuple[int, int, int]],
+                 codes: list[str], linenos: list[int]):
+        self.carried = carried
+        self.codes = codes  # non-blank lines, comments cut off
+        self.linenos = linenos
+        text = "\n".join(codes)
+        toks = _TOKEN_RE.findall(text)
+        # findall skips what no token matches, so the lines are well formed
+        # exactly when the tokens, the spaces and the joining newlines make
+        # up the whole text.  Other whitespace, or a character no token
+        # covers, is told apart by scanning the text token by token.
+        if text and sum(map(len, toks)) + text.count(" ") + len(codes) - 1 != len(text):
             end = _LINE_RE.match(text).end()
-            line = self.linenos[text.count("\n", 0, end)]
-            raise LpParseError(f"unexpected character {text[end]!r}", line,
-                               end - text.rfind("\n", 0, end))
+            if end < len(text):
+                line = linenos[text.count("\n", 0, end)]
+                raise LpParseError(f"unexpected character {text[end]!r}", line,
+                                   end - text.rfind("\n", 0, end))
+        self.toks = carried_toks + toks if carried_toks else toks
 
     @cached_property
     def nos(self) -> list[int]:
         """The line number of each token."""
-        nos: list[int] = []
+        nos = [line for line, _, _ in self.carried]
         for lineno, code in zip(self.linenos, self.codes):
             nos += [lineno] * len(_TOKEN_RE.findall(code))
         return nos
 
+    def spans(self, k: int) -> list[tuple[int, int, int]]:
+        """The line, start column and end column of every token from k on,
+        reading back from the last line only as far as those tokens reach."""
+        need = len(self.toks) - max(k, len(self.carried))
+        spans: list[tuple[int, int, int]] = []
+        for lineno, code in zip(reversed(self.linenos), reversed(self.codes)):
+            if len(spans) >= need:
+                break
+            spans[:0] = [(lineno, m.start() + 1, m.end() + 1) for m in _TOKEN_RE.finditer(code)]
+        return self.carried[k:] + spans[len(spans) - need:]
+
     def error(self, message: str, k: int, after: bool = False) -> LpParseError:
         """An error at token k, or just after it."""
-        lineno = self.nos[k]
-        nth = k - bisect.bisect_left(self.nos, lineno)
-        code = self.codes[bisect.bisect_left(self.linenos, lineno)]
-        match = list(_TOKEN_RE.finditer(code))[nth]
-        return LpParseError(message, lineno, (match.end() if after else match.start()) + 1)
+        lineno, start, end = self.spans(k)[0]
+        return LpParseError(message, lineno, end if after else start)
 
     def token(self, k: int, stop: int) -> str:
         if k < stop:
@@ -207,106 +248,242 @@ class _Section:
             raise self.error(f"expected a number, found {tok!r}", k)
         return sign * self.number(k), k + 1
 
-    def var(self, k: int) -> VarRef:
-        tok = self.toks[k]
-        ref = self.names.get(tok)
-        if ref is None:
+
+class _Rows:
+    """One section's parser, fed the section's lines a block at a time.
+
+    ``read`` parses whole rows and returns the index of the first token it
+    left unread; a row that runs past the end of a block carries those
+    tokens into the next block.  The first row error is kept, not raised,
+    so that ``parse_lp`` first reads the rest of the file: a section or
+    character error anywhere takes precedence.  ``units`` is shared by the
+    sections of one file and maps each variable name to its two unit terms,
+    ``(ref, 1.0)`` and ``(ref, -1.0)``, of its one :class:`VarRef`.
+    """
+
+    def __init__(self, units: dict[str, tuple[tuple[VarRef, float], tuple[VarRef, float]]]):
+        self.units = units
+        self.carry: tuple[list[str], list[tuple[int, int, int]]] = ([], [])  # tokens, spans
+        self.failure: LpParseError | None = None
+
+    def feed(self, codes: list[str], linenos: list[int], final: bool) -> None:
+        """Parse the section's next lines; ``final`` when no more follow."""
+        block = _Block(*self.carry, codes, linenos)
+        if self.failure is not None:
+            return
+        try:
+            k = self.read(block, final)
+        except LpParseError as err:
+            self.failure = err
+            return
+        self.carry = (block.toks[k:], block.spans(k))
+
+    def unit(self, b: _Block, k: int):
+        """Token k's unit terms."""
+        tok = b.toks[k]
+        unit = self.units.get(tok)
+        if unit is None:
             try:
-                ref = self.names[tok] = parse_var_name(tok)
+                ref = parse_var_name(tok)
             except ValueError:
-                raise self.error(f"unknown variable {tok!r}", k)
-        return ref
+                raise b.error(f"unknown variable {tok!r}", k)
+            unit = self.units[tok] = ((ref, 1.0), (ref, -1.0))
+        return unit
 
-    def bound_var(self, k: int, stop: int) -> VarRef:
-        tok = self.token(k, stop)
-        ref = self.var(k)
+    def bound_var(self, b: _Block, k: int, stop: int) -> VarRef:
+        tok = b.token(k, stop)
+        ref = self.unit(b, k)[0][0]
         if ref.kind != "e":
-            raise self.error(f"{tok} is binary and cannot be bounded", k)
+            raise b.error(f"{tok} is binary and cannot be bounded", k)
         return ref
 
-    def expression(self, k: int) -> tuple[list[tuple[VarRef, float]], int]:
-        """Terms from token k up to (not at) a sense token or the end, and
-        the index where they stop."""
-        toks, names = self.toks, self.names
-        terms: list[tuple[VarRef, float]] = []
+    def expression(self, b: _Block, k: int, terms: list, final: bool) -> int:
+        """Append the terms from token k on to ``terms``, up to (not at) a
+        sense token or the end of the block, and return where they stop.
+        Unless the block is the section's last, the signs and coefficient
+        of a term whose variable is still to come are left unread."""
+        toks, units = b.toks, self.units
+        start = k
         sign = 1.0
         coef: float | None = None
         for k in range(k, len(toks)):
             tok = toks[k]
-            ref = names.get(tok)
-            if ref is None:  # not a known name: dispatch on the first character
+            unit = units.get(tok)
+            if unit is None:  # not a known name: dispatch on the first character
                 first = tok[0]
                 if first in "<>=":
                     break
                 if first == "+" or first == "-":
                     if coef is not None:
-                        raise self.error("dangling coefficient", k)
+                        raise b.error("dangling coefficient", k)
                     if first == "-":
                         sign = -sign
                     continue
                 if _is_number(tok):
                     if coef is not None:
-                        raise self.error("two coefficients in a row", k)
-                    coef = self.number(k)
+                        raise b.error("two coefficients in a row", k)
+                    coef = b.number(k)
                     coef_at = k
                     continue
                 if first == ":":
-                    raise self.error("unexpected ':'", k)
-                ref = self.var(k)
-            terms.append((ref, sign if coef is None else sign * coef))
+                    raise b.error("unexpected ':'", k)
+                unit = self.unit(b, k)
+            # A unit term is shared: unit[True] is the minus one.
+            terms.append(unit[sign < 0] if coef is None else (unit[0][0], sign * coef))
             sign = 1.0
             coef = None
         else:
             k = len(toks)
+            if not final:
+                while k > start and toks[k - 1][0] in "+-0123456789.":
+                    k -= 1
+                return k
         if coef is not None:
-            raise self.error("coefficient without a variable", coef_at)
-        return terms, k
+            raise b.error("coefficient without a variable", coef_at)
+        return k
 
 
-def _split_sections(text: str, names: dict[str, VarRef]) -> dict[str, _Section]:
-    """Group tokens by section, validating characters and section order."""
-    sections: dict[str, _Section] = {}
-    current: _Section | None = None
-    ended = False
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        code = raw.split("\\", 1)[0]  # comment to end of line
-        bare = code.strip()
-        if not bare:
-            continue
-        word = _SECTION_WORDS.get(bare.lower())
-        if word is not None:
-            if current is not None:
-                current.close()
-            if word == "maximize":
-                raise LpParseError("only minimization is supported", lineno, 1)
-            if word == "end":
-                ended = True
-                current = None
-                continue
-            if ended:
-                raise LpParseError("content after End", lineno, 1)
-            if word in sections:
-                raise LpParseError(f"duplicate section {bare!r}", lineno, 1)
-            sections[word] = current = _Section(names)
-            continue
-        if ended:
-            raise LpParseError("content after End", lineno, 1)
-        if current is None:
-            raise LpParseError("content before Minimize", lineno, 1)
-        current.codes.append(code)
-        current.linenos.append(lineno)
-    if current is not None:
-        current.close()
-    if not ended:
-        raise LpParseError("missing End", len(lines) + 1, 1)
-    if "objective" not in sections:
-        raise LpParseError("missing Minimize section", len(lines) + 1, 1)
-    for word in ("constraints", "bounds", "binaries"):
-        sections.setdefault(word, _Section(names))
-    return sections
+class _Objective(_Rows):
+    def __init__(self, units):
+        super().__init__(units)
+        self.terms: list[tuple[VarRef, float]] = []
+        self.labelled = False  # whether the optional label has been looked for
+
+    def read(self, b: _Block, final: bool) -> int:
+        toks = b.toks
+        k = 0
+        if not self.labelled:
+            if len(toks) < 2 and not final:
+                return 0
+            self.labelled = True
+            if len(toks) > 1 and toks[1] == ":":
+                if not _is_name(toks[0]):
+                    raise b.error("malformed objective label", 0)
+                k = 2
+        k = self.expression(b, k, self.terms, final)
+        if k < len(toks) and toks[k] in _SENSES:
+            raise b.error("unexpected token after objective", k)
+        return k
 
 
+class _Constraints(_Rows):
+    def __init__(self, units):
+        super().__init__(units)
+        self.rows: list[LinearConstraint] = []
+        self.labels: set[str] = set()
+        # The row being read: its label, the label's token index (or its
+        # (line, start, end) once the block has moved on) and its terms.
+        self.row: tuple[str, int | tuple[int, int, int], list] | None = None
+
+    def label_error(self, b: _Block, message: str) -> LpParseError:
+        _, at, _ = self.row
+        line, col, _ = b.spans(at)[0] if isinstance(at, int) else at
+        return LpParseError(message, line, col)
+
+    def read(self, b: _Block, final: bool) -> int:
+        toks = b.toks
+        n = len(toks)
+        k = 0
+        while True:
+            if self.row is None:
+                if k == n or (k + 1 == n and not final):
+                    return k
+                if k + 1 == n or toks[k + 1] != ":":
+                    raise b.error("expected 'label:' before constraint", k)
+                label = toks[k]
+                if not _is_name(label):
+                    raise b.error("malformed constraint label", k)
+                if label in self.labels:
+                    raise b.error(f"duplicate constraint label {label!r}", k)
+                self.labels.add(label)
+                self.row = (label, k, [])
+                k += 2
+            label, at, terms = self.row
+            k = self.expression(b, k, terms, final)
+            if k < n and toks[k] in _SENSES:
+                j = k + 1  # the right-hand side: signs, then a number
+                while j < n and toks[j] in ("+", "-"):
+                    j += 1
+                if j < n or final:
+                    rhs, stop = b.signed_number(k + 1, n)
+                    if not terms:
+                        raise self.label_error(b, "constraint has no terms")
+                    self.rows.append(LinearConstraint(label, tuple(terms), _SENSES[toks[k]], rhs))
+                    self.row = None
+                    k = stop
+                    continue
+            elif final:
+                raise self.label_error(b, "constraint missing its sense")
+            if isinstance(at, int):  # the row runs on into the next block
+                self.row = (label, b.spans(at)[0], terms)
+            return k
+
+
+class _Bounds(_Rows):
+    """Each line sets the side(s) of a variable's range it names; the
+    other side keeps its earlier value, by default (0, inf)."""
+
+    def __init__(self, units):
+        super().__init__(units)
+        self.bounds: dict[VarRef, tuple[float, float]] = {}
+
+    def read(self, b: _Block, final: bool) -> int:
+        toks, bounds = b.toks, self.bounds
+        k = 0
+        while k < len(toks):
+            stop = bisect.bisect_right(b.nos, b.nos[k], k)  # this line's tokens
+            if _is_number(toks[k]) or toks[k] in ("+", "-"):
+                lo, k = b.signed_number(k, stop)
+                if _SENSES.get(b.token(k, stop)) != "<=":
+                    raise b.error("expected '<=' in bound", k)
+                ref = self.bound_var(b, k + 1, stop)
+                if _SENSES.get(b.token(k + 2, stop)) != "<=":
+                    raise b.error("expected '<=' in bound", k + 2)
+                hi, k = b.signed_number(k + 3, stop)
+            else:
+                ref = self.bound_var(b, k, stop)
+                lo, hi = bounds.get(ref, (0.0, math.inf))
+                if k + 1 < stop and toks[k + 1].lower() == "free":
+                    lo, hi = -math.inf, math.inf
+                    k += 2
+                else:
+                    sense = _SENSES.get(b.token(k + 1, stop))
+                    if sense is None:
+                        raise b.error("malformed bound", k + 1)
+                    value, k = b.signed_number(k + 2, stop)
+                    if sense == "<=":
+                        hi = value
+                    elif sense == ">=":
+                        lo = value
+                    else:
+                        lo = hi = value
+            if k < stop:
+                raise b.error("unexpected token after bound", k)
+            bounds[ref] = (lo, hi)
+        return k
+
+
+class _Binaries(_Rows):
+    """Bare names in declaration order."""
+
+    def __init__(self, units):
+        super().__init__(units)
+        self.refs: list[VarRef] = []
+        self.seen: set[str] = set()
+
+    def read(self, b: _Block, final: bool) -> int:
+        for k, tok in enumerate(b.toks):
+            ref = self.unit(b, k)[0][0]
+            if ref.kind == "e":
+                raise b.error(f"{tok} is continuous, not binary", k)
+            if tok in self.seen:
+                raise b.error(f"duplicate binary {tok}", k)
+            self.seen.add(tok)
+            self.refs.append(ref)
+        return len(b.toks)
+
+
+@gc_paused
 def parse_lp(text: str) -> IlpModel:
     """Parse LP text produced by :func:`export_lp` (or a conforming subset).
 
@@ -314,107 +491,76 @@ def parse_lp(text: str) -> IlpModel:
     declarations missing from Bounds/Binaries get LP defaults (binary for
     the binary kinds, [0, inf) for energy variables).
     """
-    names: dict[str, VarRef] = {}
-    sections = _split_sections(text, names)
-
-    # Objective.
-    sec = sections["objective"]
-    toks = sec.toks
-    k = 0
-    if len(toks) > 1 and toks[1] == ":":
-        if not _is_name(toks[0]):
-            raise sec.error("malformed objective label", 0)
-        k = 2
-    terms, k = sec.expression(k)
-    if k < len(toks):
-        raise sec.error("unexpected token after objective", k)
-    objective = tuple(terms)
-
-    # Constraints.
-    constraints: list[LinearConstraint] = []
-    labels: set[str] = set()
-    sec = sections["constraints"]
-    toks = sec.toks
-    k = 0
-    while k < len(toks):
-        if k + 1 == len(toks) or toks[k + 1] != ":":
-            raise sec.error("expected 'label:' before constraint", k)
-        if not _is_name(toks[k]):
-            raise sec.error("malformed constraint label", k)
-        if toks[k] in labels:
-            raise sec.error(f"duplicate constraint label {toks[k]!r}", k)
-        labels.add(toks[k])
-        terms, at = sec.expression(k + 2)
-        if at == len(toks):
-            raise sec.error("constraint missing its sense", k)
-        rhs, stop = sec.signed_number(at + 1, len(toks))
-        if not terms:
-            raise sec.error("constraint has no terms", k)
-        constraints.append(LinearConstraint(toks[k], tuple(terms), _SENSES[toks[at]], rhs))
-        k = stop
-
-    # Bounds: each line sets the side(s) of a variable's range it names;
-    # the other side keeps its earlier value, by default (0, inf).
-    bounds: dict[VarRef, tuple[float, float]] = {}
-    sec = sections["bounds"]
-    toks = sec.toks
-    k = 0
-    while k < len(toks):
-        stop = bisect.bisect_right(sec.nos, sec.nos[k], k)  # this line's tokens
-        if _is_number(toks[k]) or toks[k] in ("+", "-"):
-            lo, k = sec.signed_number(k, stop)
-            if _SENSES.get(sec.token(k, stop)) != "<=":
-                raise sec.error("expected '<=' in bound", k)
-            ref = sec.bound_var(k + 1, stop)
-            if _SENSES.get(sec.token(k + 2, stop)) != "<=":
-                raise sec.error("expected '<=' in bound", k + 2)
-            hi, k = sec.signed_number(k + 3, stop)
-        else:
-            ref = sec.bound_var(k, stop)
-            lo, hi = bounds.get(ref, (0.0, math.inf))
-            if k + 1 < stop and toks[k + 1].lower() == "free":
-                lo, hi = -math.inf, math.inf
-                k += 2
-            else:
-                sense = _SENSES.get(sec.token(k + 1, stop))
-                if sense is None:
-                    raise sec.error("malformed bound", k + 1)
-                value, k = sec.signed_number(k + 2, stop)
-                if sense == "<=":
-                    hi = value
-                elif sense == ">=":
-                    lo = value
-                else:
-                    lo = hi = value
-        if k < stop:
-            raise sec.error("unexpected token after bound", k)
-        bounds[ref] = (lo, hi)
-
-    # Binaries: bare names in declaration order.
-    binaries: list[VarRef] = []
-    seen: set[str] = set()
-    sec = sections["binaries"]
-    for k, tok in enumerate(sec.toks):
-        ref = names.get(tok) or sec.var(k)
-        if ref.kind == "e":
-            raise sec.error(f"{tok} is continuous, not binary", k)
-        if tok in seen:
-            raise sec.error(f"duplicate binary {tok}", k)
-        seen.add(tok)
-        binaries.append(ref)
+    units: dict = {}
+    objective, constraints = _Objective(units), _Constraints(units)
+    bounds, binaries = _Bounds(units), _Binaries(units)
+    sections: dict[str, _Rows] = {"objective": objective, "constraints": constraints,
+                                  "bounds": bounds, "binaries": binaries}
+    opened: set[str] = set()
+    current: _Rows | None = None
+    ended = False
+    last = 0  # the number of lines read
+    for first, lines in _blocks(text):
+        codes: list[str] = []
+        linenos: list[int] = []
+        for lineno, raw in enumerate(lines, start=first):
+            code = raw.split("\\", 1)[0]  # comment to end of line
+            bare = code.strip()
+            if not bare:
+                continue
+            word = _SECTION_WORDS.get(bare.lower())
+            if word is not None:
+                if current is not None:
+                    current.feed(codes, linenos, final=True)
+                    codes, linenos = [], []
+                if word == "maximize":
+                    raise LpParseError("only minimization is supported", lineno, 1)
+                if word == "end":
+                    ended = True
+                    current = None
+                    continue
+                if ended:
+                    raise LpParseError("content after End", lineno, 1)
+                if word in opened:
+                    raise LpParseError(f"duplicate section {bare!r}", lineno, 1)
+                opened.add(word)
+                current = sections[word]
+                continue
+            if ended:
+                raise LpParseError("content after End", lineno, 1)
+            if current is None:
+                raise LpParseError("content before Minimize", lineno, 1)
+            codes.append(code)
+            linenos.append(lineno)
+        if codes:
+            current.feed(codes, linenos, final=False)
+        last = first + len(lines) - 1
+    if current is not None:
+        current.feed([], [], final=True)
+    if not ended:
+        raise LpParseError("missing End", last + 1, 1)
+    if "objective" not in opened:
+        raise LpParseError("missing Minimize section", last + 1, 1)
+    for section in sections.values():  # the first section's row error wins
+        if section.failure is not None:
+            raise section.failure
 
     # The variable list: declared binaries, declared continuous, then
-    # anything referenced but never declared, in order of first appearance.
-    variables = binaries + list(bounds)
-    for name, ref in names.items():
-        if name not in seen and ref not in bounds:
-            variables.append(ref)
-            if ref.kind == "e":
-                bounds[ref] = (0.0, math.inf)
+    # anything referenced but never declared, in order of first appearance
+    # in the objective and then the constraints.
+    variables = binaries.refs + list(bounds.bounds)
+    if len(units) > len(variables):
+        declared = set(variables)
+        for ref, _ in chain(objective.terms, chain.from_iterable(c.terms for c in constraints.rows)):
+            if ref not in declared:
+                declared.add(ref)
+                variables.append(ref)
+                if ref.kind == "e":
+                    bounds.bounds[ref] = (0.0, math.inf)
 
     return IlpModel(
         variables=tuple(variables),
-        objective=objective,
-        constraints=tuple(constraints),
-        bounds=tuple((ref, lo, hi) for ref, (lo, hi) in bounds.items()),
+        objective=tuple(objective.terms),
+        constraints=tuple(constraints.rows),
+        bounds=tuple((ref, lo, hi) for ref, (lo, hi) in bounds.bounds.items()),
     )

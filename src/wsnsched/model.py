@@ -46,6 +46,8 @@ and price arcs with ``arcs.tables``.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,6 +143,26 @@ class IlpModel:
         return ref.kind != "e"
 
 
+def gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, then put it back
+    as the caller had it.  The models are acyclic tuples, which reference
+    counting frees, so the full collections that allocating a million of
+    them sets off find nothing; the young-generation pass runs once after."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@gc_paused
 def variable_universe(instance: Instance, arcs: ArcSets) -> tuple[VarRef, ...]:
     """Every variable the model for (instance, arcs) contains, in canonical
     order: x, y, z, w, r, h, e; within a kind, sorted by index tuple."""
@@ -201,9 +223,9 @@ def universe_size(instance: Instance, arcs: ArcSets) -> int:
 
 
 # The most model variables a command accepts.  Building and exporting a model
-# takes about 1.7 KB per variable (peak RSS of `wsnsched build` on bench2
-# grid T=3, 55 032 variables, 130 MB against 37 MB at start), so a model at
-# the cap needs about 1.7 GB.
+# takes about 1.5 KB per variable (peak RSS of `wsnsched build` on bench2
+# grid T=3, 55 032 variables, 113 MB against 32 MB at start, Python 3.11),
+# so a model at the cap needs about 1.5 GB.
 MAX_VARIABLES = 1_000_000
 
 
@@ -216,6 +238,7 @@ def check_model_size(instance: Instance, arcs: ArcSets, what: str) -> None:
                          f"above the cap of {MAX_VARIABLES}")
 
 
+@gc_paused
 def build_model(
     instance: Instance,
     arcs: ArcSets,

@@ -1,10 +1,11 @@
 """Differential test: the LP parser against its frozen token-object version.
 
 ``reference_lp`` scans every token into an object and parses with
-``peek``/``next``.  The package keeps each section's tokens as flat lists
-and recomputes a column only for an error, which must change the work and
+``peek``/``next``.  The package reads a block of lines at a time, keeps its
+tokens as a flat list, carries a row's unread tokens into the next block
+and recomputes a column only for an error.  That must change the work and
 nothing else: every accepted file gives an equal model, and every rejected
-one the same message, line and column.
+one the same message, line and column, whatever the block size.
 """
 
 import random
@@ -13,11 +14,13 @@ import re
 import pytest
 
 import wsnsched as w
+from wsnsched import lp
 from wsnsched.lp import LpParseError
 from helpers import tiny_instance, two_sink_instance
 import reference_lp as ref
 
 SEEDS = range(50)
+NAMES = [f"tiny{s}" for s in SEEDS] + ["two_sink", "bench1_grid_T1"]
 
 # Single edits draw from these, every spelling of a sense among them.
 # Non-ASCII digits stay out: the package rejects them on purpose, where the
@@ -47,7 +50,7 @@ def _tiny_text(seed):
     return w.export_lp(w.build_model(inst, arcs))
 
 
-@pytest.mark.parametrize("name", [f"tiny{s}" for s in SEEDS] + ["two_sink", "bench1_grid_T1"])
+@pytest.mark.parametrize("name", NAMES)
 def test_models_equal_reference(name):
     if name == "two_sink":
         inst = two_sink_instance()
@@ -58,18 +61,26 @@ def test_models_equal_reference(name):
     else:
         inst, arcs = tiny_instance(int(name[4:]))
     text = w.export_lp(w.build_model(inst, arcs))
+    if name == "bench1_grid_T1" and lp._BLOCK_LINES > 2:
+        assert text.count("\n") > 10 * lp._BLOCK_LINES  # many blocks
     assert _fields(w.parse_lp(text)) == _fields(ref.parse_lp(text))
 
 
 def _mutants(rng, text, count):
     pieces = _PIECE.findall(text)
     bounds_at = pieces.index("Bounds") if "Bounds" in pieces else 0
+    # The constraint labels, which no single edit in EDITS can copy.
+    labels = [k for k in range(pieces.index("Subject"), bounds_at)
+              if pieces[k - 1] == " " and pieces[k + 1] == ":"]
     for _ in range(count):
         # Half the edits land in Bounds and after, whose lines parse one by one.
         k = rng.randrange(rng.choice((0, bounds_at)), len(pieces) + 1)
-        edit = rng.choice(("replace", "delete", "insert"))
+        edit = rng.choices(("replace", "delete", "insert", "relabel"), (5, 5, 5, 1))[0]
         token = rng.choice(EDITS) + rng.choice(("", " "))
-        if edit == "insert":
+        if edit == "relabel":  # a row takes the label of the row before it
+            k = rng.randrange(1, len(labels))
+            yield "".join(pieces[:labels[k]] + [pieces[labels[k - 1]]] + pieces[labels[k] + 1:])
+        elif edit == "insert":
             yield "".join(pieces[:k] + [token] + pieces[k:])
         elif k < len(pieces):
             yield "".join(pieces[:k] + ([token] if edit == "replace" else []) + pieces[k + 1:])
@@ -83,13 +94,41 @@ def test_mutants_agree_with_reference():
         forms = iter(_BOUND_FORMS[(seed + i) % len(_BOUND_FORMS)] for i in range(99))
         bases += [text, _BOUND_LINE.sub(lambda m: m.expand(next(forms)), text)]
     kinds = {"model": 0, "error": 0}
-    total = 0
+    total = duplicates = 0
     for base in bases:
         for text in _mutants(rng, base, 60):
             got, want = _outcome(w.parse_lp, text), _outcome(ref.parse_lp, text)
             assert got == want, text
             kinds[got[0]] += 1
             total += 1
+            duplicates += got[0] == "error" and "duplicate constraint label" in got[1]
     assert total >= 5000
     # Both outcomes are well represented, so neither side is tested vacuously.
     assert min(kinds.values()) >= 500, kinds
+    assert duplicates >= 20
+
+
+@pytest.mark.parametrize("lines", [1, 2])
+def test_block_boundaries_change_nothing(lines, monkeypatch):
+    # With blocks of one or two lines, every row that spans lines crosses a
+    # block boundary, and so do its label, its terms and its right-hand side.
+    monkeypatch.setattr(lp, "_BLOCK_LINES", lines)
+    for name in NAMES:
+        test_models_equal_reference(name)
+    test_mutants_agree_with_reference()
+
+
+# Rows broken where export never breaks them: after a label, before its
+# ':', between a sign, a coefficient and their variable, and before the
+# right-hand side; then each way such a row can end.
+_BROKEN = "Minimize\n obj\n :\n -\n 2\n e_i0\nSubject To\n c\n :\n e_i0\n + 3\n e_i1\n"
+_ENDINGS = ("End\n", " <=\nEnd\n", " <=\n -\n 1\nEnd\n", " <= 1\n c: e_i0 <= 2\nEnd\n",
+            " <= 1\n d: <= 2\nEnd\n", " 2\nEnd\n", " <= 1\n d\nEnd\n")
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, 4])
+def test_rows_broken_at_any_token_agree(lines, monkeypatch):
+    monkeypatch.setattr(lp, "_BLOCK_LINES", lines)
+    for ending in _ENDINGS:
+        text = _BROKEN + ending
+        assert _outcome(w.parse_lp, text) == _outcome(ref.parse_lp, text), text
