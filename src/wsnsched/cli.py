@@ -220,7 +220,7 @@ def _cmd_solve(args) -> int:
     print(f"wall time: {solution.wall_time_s:.3f} s")
     if args.method == "exact":
         print("certificate: optimal" if certificate
-              else "certificate: none (search was cut short)")
+              else "certificate: none (not proven optimal)")
     print(f"wrote {args.out}")
     if args.method == "exact" and not certificate:
         return 3

@@ -469,16 +469,17 @@ class _Binaries(_Rows):
     def __init__(self, units):
         super().__init__(units)
         self.refs: list[VarRef] = []
-        self.seen: set[str] = set()
+        # The shared refs, not their names: a name has one spelling only.
+        self.seen: set[VarRef] = set()
 
     def read(self, b: _Block, final: bool) -> int:
         for k, tok in enumerate(b.toks):
             ref = self.unit(b, k)[0][0]
             if ref.kind == "e":
                 raise b.error(f"{tok} is continuous, not binary", k)
-            if tok in self.seen:
+            if ref in self.seen:
                 raise b.error(f"duplicate binary {tok}", k)
-            self.seen.add(tok)
+            self.seen.add(ref)
             self.refs.append(ref)
         return len(b.toks)
 

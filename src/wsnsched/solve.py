@@ -8,7 +8,7 @@ Three methods with very different trust stories:
 * :func:`solve_exact` is a depth-first branch-and-bound over the sensing
   decisions; each sensed stream is then routed by choosing among that
   commodity's simple paths to a sink.  Returns a certificate flag that is
-  True only when the search ran to completion with gap 0.
+  True only when the schedule is proven optimal (see :func:`solve_exact`).
 * :func:`solve_heuristic` is a greedy weighted set cover per period and
   phenomenon with shortest-path routing and running battery accounting.
   Each round prices every candidate with one backward search from the
@@ -21,6 +21,7 @@ hash order or a clock.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -275,10 +276,15 @@ class _ExactSearch:
     undecided coverers' sensing costs amortized over the open triples they
     cover, so the bound never exceeds the cost of any completion of the
     node.  Its parts are kept up to date as decisions are set and undone:
-    the committed cost and active-pair counts travel down the recursion,
-    and beside each demand triple's cover count each sensing triple keeps
-    its count of open demand triples, which changes only when a cover
-    count leaves or returns to 0.
+    the committed cost and active-pair counts travel down the recursion;
+    the open demand triples are a list in ``s.demanded`` order, the only
+    triples the bound visits; and each sensing triple keeps its count of
+    open demand triples.  Sensing a triple closes the open triples it
+    covers and pushes them on a stack; undoing it pops them, puts each
+    back in order and restores the counts, as in Knuth's dancing links.
+    The prune cutoff is priced once per incumbent, and the routing phase
+    keeps its period-0 activity count and its suffix sums of route lower
+    bounds instead of recounting them at every node.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets, config: SolveConfig):
@@ -309,13 +315,15 @@ class _ExactSearch:
             for (j, tt, g) in s.demanded
         ]
         self.r_val: dict[tuple[int, int, int], int] = {}
-        self.cover_count = [0] * len(s.demanded)  # in s.demanded order
+        # Demand positions with no coverer decided 1, ascending, with a set
+        # beside the list; each sensing decision's closed positions.
+        self.open = list(range(len(s.demanded)))
+        self.open_set = set(self.open)
+        self.closed: list[list[int]] = []
         self.open_count = [len(q) for q in self.covers]  # in r_list order
         self.on_pairs: set[tuple[int, int]] = set()  # (i, t) with a sensing 1
         # Incumbent: the all-off schedule, always feasible.
-        self.best_obj = self.eh * len(s.demanded)
-        self.best_r: dict[tuple[int, int, int], int] = {}
-        self.best_flows: dict = {}
+        self._incumbent(self.eh * len(s.demanded), {}, {})
         self.nodes = 0
         self.truncated = False
         self.deadline = time.perf_counter() + config.time_limit_s
@@ -323,12 +331,19 @@ class _ExactSearch:
         # routing-phase state
         self.en = [0.0] * s.n
         self.y_state: set[tuple[int, int]] = set()
+        self.on0 = 0  # pairs in y_state with period 0
         self.active: list[tuple[int, int, int]] = []
+        self.remaining: list[float] = []  # route_lb summed over active[q:]
         self.obj_base = 0.0
         self.flow_choice: dict = {}
 
-    def _slack(self) -> float:
-        return max(1e-12, self.cfg.gap * abs(self.best_obj))
+    def _incumbent(self, obj: float, r: dict, flows: dict):
+        """Take (obj, r, flows) as the best schedule so far; a node is
+        pruned once its bound reaches ``cutoff``."""
+        self.best_obj = obj
+        self.best_r = r
+        self.best_flows = flows
+        self.cutoff = obj - max(1e-12, self.cfg.gap * abs(obj))
 
     def _tick(self):
         self.nodes += 1
@@ -364,10 +379,10 @@ class _ExactSearch:
         cost, summed in decision order; ``on`` and ``on0`` count the
         active (sensor, period) pairs, in all periods and in period 0."""
         self._tick()
-        if self._bound_r(d, commit, on, on0) >= self.best_obj - self._slack():
+        if self._bound_r(d, commit, on, on0) >= self.cutoff:
             return
         if d == len(self.r_list):
-            self._start_routing()
+            self._start_routing(on0)
             return
         key = self.r_list[d]
         i, t, _ = key
@@ -388,25 +403,31 @@ class _ExactSearch:
         del self.r_val[key]
 
     def _cover(self, d: int, step: int):
-        """Add step (1 to sense, -1 to undo) to the cover counts of the
-        demand triples r_list[d] covers; where a count leaves or returns to
-        0, the triple's coverers gain or lose an open triple."""
-        count, open_count = self.cover_count, self.open_count
-        edge = 1 if step > 0 else 0
-        for q in self.covers[d]:
-            count[q] += step
-            if count[q] == edge:
-                for p in self.coverers[q]:
-                    open_count[p] -= step
+        """Sense (step 1) or undo sensing (step -1) r_list[d].  Sensing
+        closes the open demand triples it covers, and their coverers each
+        lose an open triple; undoing reopens the same triples."""
+        open_list, open_set, open_count = self.open, self.open_set, self.open_count
+        if step > 0:
+            closed = [q for q in self.covers[d] if q in open_set]
+            for q in closed:
+                open_set.discard(q)
+                del open_list[bisect.bisect_left(open_list, q)]
+            self.closed.append(closed)
+        else:
+            closed = self.closed.pop()
+            for q in closed:
+                open_set.add(q)
+                bisect.insort(open_list, q)
+        for q in closed:
+            for p in self.coverers[q]:
+                open_count[p] -= step
 
     def _bound_r(self, d: int, commit: float, on: int, on0: int) -> float:
         bound = commit + self.em * on + self.ea * on0
-        open_count, cost = self.open_count, self.sense_cost
-        for cc, coverers in zip(self.cover_count, self.coverers):
-            if cc > 0:
-                continue
+        open_count, cost, coverers = self.open_count, self.sense_cost, self.coverers
+        for q in self.open:
             cheapest = self.eh
-            for p in coverers:
+            for p in coverers[q]:
                 if p < d:
                     break  # this coverer and the rest are decided
                 share = cost[p] / open_count[p]
@@ -417,11 +438,16 @@ class _ExactSearch:
 
     # -- routing phase --
 
-    def _start_routing(self):
-        uncovered = self.cover_count.count(0)
+    def _start_routing(self, on0: int):
+        """Route the decided-1 triples; ``on0`` counts their period-0 pairs."""
         self.active = sorted(key for key, val in self.r_val.items() if val)
-        self.obj_base = self.eh * uncovered + self.eg * len(self.active)
+        # Each suffix is summed left to right from its own start; a running
+        # total taken from the end would round differently.
+        self.remaining = [sum(self.route_lb[(l, g)] for (l, _, g) in self.active[q:])
+                          for q in range(len(self.active) + 1)]
+        self.obj_base = self.eh * len(self.open) + self.eg * len(self.active)
         self.y_state = {(i, t) for (i, t, _) in self.active}
+        self.on0 = on0
         self.en = [0.0] * self.s.n
         for (i, _) in self.y_state:
             self.en[i] += self.em
@@ -430,10 +456,9 @@ class _ExactSearch:
 
     def _branch_flows(self, q: int):
         self._tick()
-        ea_lb = self.ea * sum(1 for (i, t) in self.y_state if t == 0)
-        remaining = sum(self.route_lb[(l, g)] for (l, t, g) in self.active[q:])
-        base = sum(self.en) + ea_lb + self.obj_base
-        if base + remaining >= self.best_obj - self._slack():
+        remaining = self.remaining[q]
+        base = sum(self.en) + self.ea * self.on0 + self.obj_base
+        if base + remaining >= self.cutoff:
             return
         if q == len(self.active):
             self._leaf()
@@ -444,7 +469,7 @@ class _ExactSearch:
             self.truncated = True
         rest = remaining - self.route_lb[(l, g)]
         for flow in flows:
-            if base + rest + flow.cost >= self.best_obj - self._slack():
+            if base + rest + flow.cost >= self.cutoff:
                 break  # flows are cost-sorted; the rest only cost more
             undo = self._apply_flow(flow, t)
             if undo is None:
@@ -463,6 +488,7 @@ class _ExactSearch:
             deltas.append((u, energy))
             if (u, t) not in self.y_state:
                 self.y_state.add((u, t))
+                self.on0 += t == 0
                 activated.append((u, t))
                 self.en[u] += self.em
             if self.en[u] + (self.ea if (u, 0) in self.y_state else 0.0) > cap:
@@ -476,6 +502,7 @@ class _ExactSearch:
             self.en[u] -= energy
         for (u, t) in activated:
             self.y_state.discard((u, t))
+            self.on0 -= t == 0
             self.en[u] -= self.em
 
     def _leaf(self):
@@ -494,9 +521,7 @@ class _ExactSearch:
                 return
             total += ei
         if total < self.best_obj - 1e-12:
-            self.best_obj = total
-            self.best_r = dict(self.r_val)
-            self.best_flows = dict(self.flow_choice)
+            self._incumbent(total, dict(self.r_val), dict(self.flow_choice))
 
 
 def solve_exact(
@@ -507,10 +532,13 @@ def solve_exact(
     """Minimize the objective by branch and bound.
 
     Returns (solution, certificate); the certificate is True only when the
-    search completed with gap 0, in which case the solution is optimal.  It
-    is never True when activation energy exceeds maintenance energy and
-    there are at least three periods: there a sensor kept on through an
-    idle period can save a switch-on, and the search does not explore that.
+    solution is proven optimal.  It is False when the search hit its time
+    or node limit or ran with a nonzero gap, and also without any limit
+    hit: when some sensed commodity has more than ``FLOW_ARC_CAP`` stream
+    arcs outside its source, so only its cheapest route was tried; and
+    when activation energy exceeds maintenance energy and there are at
+    least three periods, where a sensor kept on through an idle period can
+    save a switch-on, which the search does not explore.
     """
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()

@@ -3,10 +3,13 @@ scratch.
 
 ``_ExactSearch`` keeps the bound's parts up to date as it sets and undoes
 decisions.  ``derived_bound`` below recomputes the bound from the
-decisions and cover counts alone, as the search once did at every node,
-with the same float operands in the same order.  At every sensing node the
-two must be equal to the last bit: not close, equal, since a bound that
-moves by one ulp can prune a different node and change the schedule.
+decisions alone, recounting which demand triples are covered, with the
+same float operands in the same order.  At every sensing node the two
+must be equal to the last bit: not close, equal, since a bound that moves
+by one ulp can prune a different node and change the schedule.  The
+search's own bookkeeping is checked at the same nodes: its open list must
+be ascending and hold exactly the uncovered demand triples, and each
+sensing triple's open count must match a recount.
 """
 
 import math
@@ -18,9 +21,17 @@ from wsnsched.solve import _ExactSearch
 from helpers import distance_grid
 
 
-def derived_bound(search) -> float:
+def covered_triples(search) -> set[tuple[int, int, int]]:
+    """The demand triples (j, t, g) with a coverer decided 1, from ``r_val``
+    and ``sensor_cover`` alone."""
+    return {(j, t, g)
+            for (i, t, g), val in search.r_val.items() if val
+            for j in search.s.sensor_cover.get((i, g), ())}
+
+
+def derived_bound(search, covered) -> float:
     """The sensing bound of the search's current node, from ``r_val`` and
-    the cover counts only."""
+    its covered triples only."""
     commit = 0.0
     active: set[tuple[int, int]] = set()
     for (i, t, g), val in search.r_val.items():
@@ -29,10 +40,9 @@ def derived_bound(search) -> float:
             active.add((i, t))
     bound = (commit + search.em * len(active)
              + search.ea * sum(1 for (_, t) in active if t == 0))
-    cover_count = dict(zip(search.s.demanded, search.cover_count))
     share: dict[tuple[int, int, int], float] = {}  # per undecided (i, t, g)
-    for (j, t, g), cc in cover_count.items():
-        if cc > 0:
+    for (j, t, g) in search.s.demanded:
+        if (j, t, g) in covered:
             continue
         cheapest = search.eh
         for i in search.s.arcs.covering[g][j]:
@@ -41,12 +51,28 @@ def derived_bound(search) -> float:
                 continue
             if key not in share:
                 k = sum(1 for jj in search.s.sensor_cover[(i, g)]
-                        if cover_count[(jj, t, g)] == 0)
+                        if (jj, t, g) not in covered)
                 share[key] = (search.eg + search.route_lb[(i, g)]) / k
             if share[key] < cheapest:
                 cheapest = share[key]
         bound += cheapest
     return bound
+
+
+def check_bookkeeping(search, covered):
+    """The open list, open set and open counts against a recount."""
+    open_list = search.open
+    assert all(a < b for a, b in zip(open_list, open_list[1:])), "open list out of order"
+    want = [q for q, key in enumerate(search.s.demanded) if key not in covered]
+    assert open_list == want
+    assert search.open_set == set(want)
+    # Each uncovered triple counts once for each sensor covering it then.
+    recount: dict[tuple[int, int, int], int] = {}
+    for (j, t, g) in search.s.demanded:
+        if (j, t, g) not in covered:
+            for i in search.s.arcs.covering[g][j]:
+                recount[(i, t, g)] = recount.get((i, t, g), 0) + 1
+    assert search.open_count == [recount.get(key, 0) for key in search.r_list]
 
 
 def _check_every_node(monkeypatch, inst, node_limit) -> int:
@@ -59,7 +85,9 @@ def _check_every_node(monkeypatch, inst, node_limit) -> int:
         nonlocal checked
         got = package_bound(search, d, commit, on, on0)
         assert len(search.r_val) == d
-        assert got == derived_bound(search), f"node {search.nodes}, depth {d}"
+        covered = covered_triples(search)
+        check_bookkeeping(search, covered)
+        assert got == derived_bound(search, covered), f"node {search.nodes}, depth {d}"
         checked += 1
         return got
 

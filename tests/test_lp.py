@@ -190,6 +190,19 @@ def test_constraint_labels_are_unique_names(rows, message, line, col):
     assert str(err.value) == f"line {line}, col {col}: {message}"
 
 
+@pytest.mark.parametrize("rows, message, line, col", [
+    ([" y_i0_t0 y_i0_t0"], "duplicate binary y_i0_t0", 4, 10),
+    ([" y_i0_t0 r_i0_t0_g0", "   w_i0_t0", "  r_i0_t0_g0"], "duplicate binary r_i0_t0_g0", 6, 3),
+    ([" y_i0_t0 e_i0"], "e_i0 is continuous, not binary", 4, 10),
+    ([" e_i0"], "e_i0 is continuous, not binary", 4, 2),
+])
+def test_binaries_are_declared_once_and_binary(rows, message, line, col):
+    body = "".join(f"{row}\n" for row in rows)
+    with pytest.raises(LpParseError) as err:
+        w.parse_lp(f"Minimize\n obj: e_i0\nBinaries\n{body}End\n")
+    assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
 @pytest.mark.parametrize("label", ["5", "+", "-", "<=", "=", ":"])
 def test_objective_label_must_be_a_name(label):
     with pytest.raises(LpParseError, match="malformed objective label") as err:
