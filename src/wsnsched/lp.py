@@ -18,19 +18,25 @@ error is raised only once the rest of the file has been read, so that a
 section or character error anywhere comes first: the errors are the same
 whatever the block size.  Numbers take ASCII digits only, as variable names
 do.  A literal that overflows to infinity is rejected, since export could
-not write it back.  Every unit coefficient shares the one ``(ref, 1.0)`` or
-``(ref, -1.0)`` of its variable, as in :func:`~wsnsched.model.build_model`.
+not write it back.  Each row's terms go straight into the arrays of the
+model's :class:`~wsnsched.model.Rows`, as column ids and coefficients.
+
+Export formats each variable's name once and joins its lines a block of
+``_BLOCK_LINES`` at a time, so until the final join it holds one string per
+block, not one per line.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
+from array import array
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
-from .model import IlpModel, LinearConstraint, VarRef, gc_paused, parse_var_name
+from .model import IlpModel, Rows, VarRef, gc_paused, parse_var_name
 
 HEADER_COMMENT = "\\ wsn-ilp/1"
 
@@ -73,16 +79,16 @@ def _coef_text(coef: float) -> str:
     return ("- " if coef < 0 else "+ ") + ("" if mag == 1.0 else f"{_fmt(mag)} ")
 
 
-def export_lp(model: IlpModel) -> str:
-    """Serialize a model to LP text.  Names and numbers are formatted once
-    per call, memoized by equality: equal refs write the same name."""
+def _lines(model: IlpModel):
+    """The lines of the LP text, without their newlines; a wrapped
+    expression is one line.  Names and numbers are formatted once per
+    call, memoized by equality: equal refs write the same name."""
     names = _Memo(lambda ref: ref.name)
     coefs = _Memo(_coef_text)
     nums = _Memo(_fmt)
 
-    def expr(prefix: str, terms) -> str:
+    def expr(prefix: str, parts: list[str]) -> str:
         """A linear expression, wrapped after a fixed number of terms."""
-        parts = [coefs[coef] + names[ref] for ref, coef in terms]
         if parts and parts[0][0] == "+":
             parts[0] = parts[0][2:]  # a leading plus is implied
         if len(parts) <= _TERMS_PER_LINE:
@@ -90,24 +96,43 @@ def export_lp(model: IlpModel) -> str:
         return prefix + "\n      ".join(" ".join(parts[k:k + _TERMS_PER_LINE])
                                        for k in range(0, len(parts), _TERMS_PER_LINE))
 
-    out = [HEADER_COMMENT, "Minimize", expr(" obj: ", model.objective), "Subject To"]
-    out += [f"{expr(f' {c.tag}: ', c.terms)} {c.sense} {nums[c.rhs]}" for c in model.constraints]
+    yield HEADER_COMMENT
+    yield "Minimize"
+    yield expr(" obj: ", [coefs[coef] + names[ref] for ref, coef in model.objective])
+    yield "Subject To"
+    rows = model.constraints
+    colnames = [names[ref] for ref in rows.columns]
+    terms = map(str.__add__, map(coefs.__getitem__, rows.coefs),
+                map(colnames.__getitem__, rows.cols))
+    lengths = map(operator.sub, islice(rows.starts, 1, None), rows.starts)
+    for tag, sense, rhs, n in zip(rows.tags, rows.senses, rows.rhs, lengths):
+        yield f"{expr(f' {tag}: ', list(islice(terms, n)))} {sense} {nums[rhs]}"
     if model.bounds:
-        out.append("Bounds")
+        yield "Bounds"
         for ref, lo, hi in model.bounds:
             if lo == -math.inf and hi == math.inf:
-                out.append(f" {names[ref]} free")
+                yield f" {names[ref]} free"
             elif math.isinf(hi):
-                out.append(f" {names[ref]} >= {nums[lo]}")
+                yield f" {names[ref]} >= {nums[lo]}"
             else:
-                out.append(f" {nums[lo]} <= {names[ref]} <= {nums[hi]}")
+                yield f" {nums[lo]} <= {names[ref]} <= {nums[hi]}"
     binaries = [names[ref] for ref in model.variables if model.is_binary(ref)]
     if binaries:
-        out.append("Binaries")
+        yield "Binaries"
         for k in range(0, len(binaries), _NAMES_PER_LINE):
-            out.append(" " + " ".join(binaries[k:k + _NAMES_PER_LINE]))
-    out.append("End\n")  # the join then ends the text with a newline
-    return "\n".join(out)
+            yield " " + " ".join(binaries[k:k + _NAMES_PER_LINE])
+    yield "End"
+
+
+def export_lp(model: IlpModel) -> str:
+    """Serialize a model to LP text, joining its lines a block of
+    _BLOCK_LINES at a time."""
+    lines = _lines(model)
+    blocks = []
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")  # the join then ends the block with a newline
+        blocks.append("\n".join(block))
+    return "".join(blocks)
 
 
 # -- import --------------------------------------------------------------------
@@ -137,7 +162,8 @@ _SECTION_WORDS = {
 }
 
 # Import reads this many lines at a time: a block's lines, and their tokens,
-# are parsed and dropped before the next block is read.
+# are parsed and dropped before the next block is read.  Export joins its
+# lines in blocks of as many.
 _BLOCK_LINES = 1024
 
 
@@ -249,20 +275,22 @@ class _Block:
         return sign * self.number(k), k + 1
 
 
-class _Rows:
+class _Section:
     """One section's parser, fed the section's lines a block at a time.
 
     ``read`` parses whole rows and returns the index of the first token it
     left unread; a row that runs past the end of a block carries those
     tokens into the next block.  The first row error is kept, not raised,
     so that ``parse_lp`` first reads the rest of the file: a section or
-    character error anywhere takes precedence.  ``units`` is shared by the
-    sections of one file and maps each variable name to its two unit terms,
-    ``(ref, 1.0)`` and ``(ref, -1.0)``, of its one :class:`VarRef`.
+    character error anywhere takes precedence.  ``names`` and ``refs`` are
+    shared by the sections of one file: ``names`` maps each variable name
+    to its column, and ``refs`` lists the one :class:`VarRef` of each
+    column, in order of first appearance in the file.
     """
 
-    def __init__(self, units: dict[str, tuple[tuple[VarRef, float], tuple[VarRef, float]]]):
-        self.units = units
+    def __init__(self, names: dict[str, int], refs: list[VarRef]):
+        self.names = names
+        self.refs = refs
         self.carry: tuple[list[str], list[tuple[int, int, int]]] = ([], [])  # tokens, spans
         self.failure: LpParseError | None = None
 
@@ -278,38 +306,41 @@ class _Rows:
             return
         self.carry = (block.toks[k:], block.spans(k))
 
-    def unit(self, b: _Block, k: int):
-        """Token k's unit terms."""
+    def column(self, b: _Block, k: int) -> int:
+        """Token k's column."""
         tok = b.toks[k]
-        unit = self.units.get(tok)
-        if unit is None:
+        col = self.names.get(tok)
+        if col is None:
             try:
                 ref = parse_var_name(tok)
             except ValueError:
                 raise b.error(f"unknown variable {tok!r}", k)
-            unit = self.units[tok] = ((ref, 1.0), (ref, -1.0))
-        return unit
+            col = self.names[tok] = len(self.refs)
+            self.refs.append(ref)
+        return col
 
-    def bound_var(self, b: _Block, k: int, stop: int) -> VarRef:
+    def bound_var(self, b: _Block, k: int, stop: int) -> int:
         tok = b.token(k, stop)
-        ref = self.unit(b, k)[0][0]
-        if ref.kind != "e":
+        col = self.column(b, k)
+        if self.refs[col].kind != "e":
             raise b.error(f"{tok} is binary and cannot be bounded", k)
-        return ref
+        return col
 
-    def expression(self, b: _Block, k: int, terms: list, final: bool) -> int:
-        """Append the terms from token k on to ``terms``, up to (not at) a
-        sense token or the end of the block, and return where they stop.
-        Unless the block is the section's last, the signs and coefficient
-        of a term whose variable is still to come are left unread."""
-        toks, units = b.toks, self.units
+    def expression(self, b: _Block, k: int, cols: array, coefs: array, final: bool) -> int:
+        """Append the columns and coefficients of the terms from token k on
+        to ``cols`` and ``coefs``, up to (not at) a sense token or the end
+        of the block, and return where they stop.  Unless the block is the
+        section's last, the signs and coefficient of a term whose variable
+        is still to come are left unread."""
+        toks, names = b.toks, self.names
+        add_col, add_coef = cols.append, coefs.append
         start = k
         sign = 1.0
         coef: float | None = None
         for k in range(k, len(toks)):
             tok = toks[k]
-            unit = units.get(tok)
-            if unit is None:  # not a known name: dispatch on the first character
+            col = names.get(tok)
+            if col is None:  # not a known name: dispatch on the first character
                 first = tok[0]
                 if first in "<>=":
                     break
@@ -327,9 +358,9 @@ class _Rows:
                     continue
                 if first == ":":
                     raise b.error("unexpected ':'", k)
-                unit = self.unit(b, k)
-            # A unit term is shared: unit[True] is the minus one.
-            terms.append(unit[sign < 0] if coef is None else (unit[0][0], sign * coef))
+                col = self.column(b, k)
+            add_col(col)
+            add_coef(sign if coef is None else sign * coef)
             sign = 1.0
             coef = None
         else:
@@ -343,10 +374,11 @@ class _Rows:
         return k
 
 
-class _Objective(_Rows):
-    def __init__(self, units):
-        super().__init__(units)
-        self.terms: list[tuple[VarRef, float]] = []
+class _Objective(_Section):
+    def __init__(self, names, refs):
+        super().__init__(names, refs)
+        self.cols = array("l")
+        self.coefs = array("d")
         self.labelled = False  # whether the optional label has been looked for
 
     def read(self, b: _Block, final: bool) -> int:
@@ -360,28 +392,28 @@ class _Objective(_Rows):
                 if not _is_name(toks[0]):
                     raise b.error("malformed objective label", 0)
                 k = 2
-        k = self.expression(b, k, self.terms, final)
+        k = self.expression(b, k, self.cols, self.coefs, final)
         if k < len(toks) and toks[k] in _SENSES:
             raise b.error("unexpected token after objective", k)
         return k
 
 
-class _Constraints(_Rows):
-    def __init__(self, units):
-        super().__init__(units)
-        self.rows: list[LinearConstraint] = []
+class _Constraints(_Section):
+    def __init__(self, names, refs):
+        super().__init__(names, refs)
+        self.rows = Rows(refs)  # each row's terms are appended as they are read
         self.labels: set[str] = set()
-        # The row being read: its label, the label's token index (or its
-        # (line, start, end) once the block has moved on) and its terms.
-        self.row: tuple[str, int | tuple[int, int, int], list] | None = None
+        # The row being read: its label, and the label's token index (or its
+        # (line, start, end) once the block has moved on).
+        self.row: tuple[str, int | tuple[int, int, int]] | None = None
 
     def label_error(self, b: _Block, message: str) -> LpParseError:
-        _, at, _ = self.row
+        _, at = self.row
         line, col, _ = b.spans(at)[0] if isinstance(at, int) else at
         return LpParseError(message, line, col)
 
     def read(self, b: _Block, final: bool) -> int:
-        toks = b.toks
+        toks, rows = b.toks, self.rows
         n = len(toks)
         k = 0
         while True:
@@ -396,36 +428,37 @@ class _Constraints(_Rows):
                 if label in self.labels:
                     raise b.error(f"duplicate constraint label {label!r}", k)
                 self.labels.add(label)
-                self.row = (label, k, [])
+                self.row = (label, k)
                 k += 2
-            label, at, terms = self.row
-            k = self.expression(b, k, terms, final)
+            label, at = self.row
+            k = self.expression(b, k, rows.cols, rows.coefs, final)
             if k < n and toks[k] in _SENSES:
                 j = k + 1  # the right-hand side: signs, then a number
                 while j < n and toks[j] in ("+", "-"):
                     j += 1
                 if j < n or final:
                     rhs, stop = b.signed_number(k + 1, n)
-                    if not terms:
+                    if len(rows.cols) == rows.starts[-1]:
                         raise self.label_error(b, "constraint has no terms")
-                    self.rows.append(LinearConstraint(label, tuple(terms), _SENSES[toks[k]], rhs))
+                    rows.end_row(label, _SENSES[toks[k]], rhs)
                     self.row = None
                     k = stop
                     continue
             elif final:
                 raise self.label_error(b, "constraint missing its sense")
             if isinstance(at, int):  # the row runs on into the next block
-                self.row = (label, b.spans(at)[0], terms)
+                self.row = (label, b.spans(at)[0])
             return k
 
 
-class _Bounds(_Rows):
+class _Bounds(_Section):
     """Each line sets the side(s) of a variable's range it names; the
-    other side keeps its earlier value, by default (0, inf)."""
+    other side keeps its earlier value, by default (0, inf).  Keyed by
+    column."""
 
-    def __init__(self, units):
-        super().__init__(units)
-        self.bounds: dict[VarRef, tuple[float, float]] = {}
+    def __init__(self, names, refs):
+        super().__init__(names, refs)
+        self.bounds: dict[int, tuple[float, float]] = {}
 
     def read(self, b: _Block, final: bool) -> int:
         toks, bounds = b.toks, self.bounds
@@ -436,13 +469,13 @@ class _Bounds(_Rows):
                 lo, k = b.signed_number(k, stop)
                 if _SENSES.get(b.token(k, stop)) != "<=":
                     raise b.error("expected '<=' in bound", k)
-                ref = self.bound_var(b, k + 1, stop)
+                col = self.bound_var(b, k + 1, stop)
                 if _SENSES.get(b.token(k + 2, stop)) != "<=":
                     raise b.error("expected '<=' in bound", k + 2)
                 hi, k = b.signed_number(k + 3, stop)
             else:
-                ref = self.bound_var(b, k, stop)
-                lo, hi = bounds.get(ref, (0.0, math.inf))
+                col = self.bound_var(b, k, stop)
+                lo, hi = bounds.get(col, (0.0, math.inf))
                 if k + 1 < stop and toks[k + 1].lower() == "free":
                     lo, hi = -math.inf, math.inf
                     k += 2
@@ -459,28 +492,28 @@ class _Bounds(_Rows):
                         lo = hi = value
             if k < stop:
                 raise b.error("unexpected token after bound", k)
-            bounds[ref] = (lo, hi)
+            bounds[col] = (lo, hi)
         return k
 
 
-class _Binaries(_Rows):
-    """Bare names in declaration order."""
+class _Binaries(_Section):
+    """Bare names in declaration order, as columns: a name has one
+    spelling only, so one column per variable."""
 
-    def __init__(self, units):
-        super().__init__(units)
-        self.refs: list[VarRef] = []
-        # The shared refs, not their names: a name has one spelling only.
-        self.seen: set[VarRef] = set()
+    def __init__(self, names, refs):
+        super().__init__(names, refs)
+        self.cols: list[int] = []
+        self.seen: set[int] = set()
 
     def read(self, b: _Block, final: bool) -> int:
         for k, tok in enumerate(b.toks):
-            ref = self.unit(b, k)[0][0]
-            if ref.kind == "e":
+            col = self.column(b, k)
+            if self.refs[col].kind == "e":
                 raise b.error(f"{tok} is continuous, not binary", k)
-            if ref in self.seen:
+            if col in self.seen:
                 raise b.error(f"duplicate binary {tok}", k)
-            self.seen.add(ref)
-            self.refs.append(ref)
+            self.seen.add(col)
+            self.cols.append(col)
         return len(b.toks)
 
 
@@ -492,13 +525,14 @@ def parse_lp(text: str) -> IlpModel:
     declarations missing from Bounds/Binaries get LP defaults (binary for
     the binary kinds, [0, inf) for energy variables).
     """
-    units: dict = {}
-    objective, constraints = _Objective(units), _Constraints(units)
-    bounds, binaries = _Bounds(units), _Binaries(units)
-    sections: dict[str, _Rows] = {"objective": objective, "constraints": constraints,
-                                  "bounds": bounds, "binaries": binaries}
+    names: dict[str, int] = {}
+    refs: list[VarRef] = []
+    objective, constraints = _Objective(names, refs), _Constraints(names, refs)
+    bounds, binaries = _Bounds(names, refs), _Binaries(names, refs)
+    sections: dict[str, _Section] = {"objective": objective, "constraints": constraints,
+                                     "bounds": bounds, "binaries": binaries}
     opened: set[str] = set()
-    current: _Rows | None = None
+    current: _Section | None = None
     ended = False
     last = 0  # the number of lines read
     for first, lines in _blocks(text):
@@ -548,20 +582,31 @@ def parse_lp(text: str) -> IlpModel:
 
     # The variable list: declared binaries, declared continuous, then
     # anything referenced but never declared, in order of first appearance
-    # in the objective and then the constraints.
-    variables = binaries.refs + list(bounds.bounds)
-    if len(units) > len(variables):
-        declared = set(variables)
-        for ref, _ in chain(objective.terms, chain.from_iterable(c.terms for c in constraints.rows)):
-            if ref not in declared:
-                declared.add(ref)
-                variables.append(ref)
-                if ref.kind == "e":
-                    bounds.bounds[ref] = (0.0, math.inf)
+    # in the objective and then the constraints.  The rows' columns are then
+    # renumbered to index it, once the name table and the labels are freed.
+    names.clear()
+    constraints.labels.clear()
+    order = binaries.cols + list(bounds.bounds)
+    if len(refs) > len(order):
+        declared = bytearray(len(refs))
+        for col in order:
+            declared[col] = 1
+        for col in chain(objective.cols, constraints.rows.cols):
+            if not declared[col]:
+                declared[col] = 1
+                order.append(col)
+                if refs[col].kind == "e":
+                    bounds.bounds[col] = (0.0, math.inf)
+    renumber = array("l", (0,)) * len(refs)
+    for k, col in enumerate(order):
+        renumber[col] = k
+    rows = constraints.rows
+    rows.columns = variables = tuple(refs[col] for col in order)
+    rows.cols = array("l", map(renumber.__getitem__, rows.cols))
 
     return IlpModel(
-        variables=tuple(variables),
-        objective=tuple(objective.terms),
-        constraints=tuple(constraints.rows),
-        bounds=tuple((ref, lo, hi) for ref, (lo, hi) in bounds.bounds.items()),
+        variables=variables,
+        objective=tuple(zip(map(refs.__getitem__, objective.cols), objective.coefs)),
+        constraints=rows,
+        bounds=tuple((refs[col], lo, hi) for col, (lo, hi) in bounds.bounds.items()),
     )

@@ -36,9 +36,11 @@ A stream variable z exists for a source l only if l has at least one
 coverage arc for g (otherwise C6 pins r to zero and no routing can occur),
 and never on an arc pointing back into l.
 
-Variables are :class:`VarRef` and rows :class:`LinearConstraint`, named
-tuples that compare, hash and unpack as the plain tuple of their fields.
-``build_model`` shares one VarRef, and one unit term per sign, per variable.
+Variables are :class:`VarRef` records, named tuples that compare, hash and
+unpack as the plain tuple of their fields.  The rows are one :class:`Rows`:
+flat arrays of column ids and coefficients over a table of VarRefs, read as
+:class:`LinearConstraint` records made on demand.  ``build_model`` shares one
+VarRef per variable: its column table is ``model.variables`` itself.
 The rows walk the stream network the arc sets derive (``arcs.stream``,
 ``arcs.in_arcs``, ``arcs.out_arcs``, ``arcs.sources``, ``arcs.covering``)
 and price arcs with ``arcs.tables``.
@@ -48,9 +50,14 @@ from __future__ import annotations
 
 import functools
 import gc
+import operator
 import re
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .instance import ArcSets, Instance, arcs_for
@@ -122,18 +129,109 @@ class LinearConstraint(NamedTuple):
     rhs: float
 
 
+class Rows(Sequence):
+    """The constraint rows of a model, held flat.
+
+    Per row a tag, a sense and a right-hand side; per term a column id in
+    ``cols`` and a coefficient in ``coefs``, row k's terms running from
+    ``starts[k]`` to ``starts[k + 1]``.  A column id indexes ``columns``, a
+    table of VarRefs.  Its builder fills the rows once; read as a sequence,
+    they are :class:`LinearConstraint` records made on demand, and they
+    compare equal to any sequence of equal records.
+    """
+
+    __slots__ = ("columns", "tags", "senses", "rhs", "starts", "cols", "coefs")
+
+    def __init__(self, columns: Sequence[VarRef]):
+        self.columns = columns
+        self.tags: list[str] = []
+        self.senses: list[str] = []
+        self.rhs = array("d")
+        self.starts = array("l", (0,))
+        self.cols = array("l")
+        self.coefs = array("d")
+
+    @classmethod
+    def of(cls, variables: tuple[VarRef, ...], records) -> Rows:
+        """The rows of ``records``, over ``variables`` and then the refs the
+        records use that ``variables`` lacks, in order of first use."""
+        index = {ref: k for k, ref in enumerate(variables)}
+        extra: list[VarRef] = []
+        rows = cls(variables)
+        for tag, terms, sense, rhs in records:
+            for ref, coef in terms:
+                k = index.get(ref)
+                if k is None:
+                    k = index[ref] = len(variables) + len(extra)
+                    extra.append(ref)
+                rows.cols.append(k)
+                rows.coefs.append(coef)
+            rows.end_row(tag, sense, rhs)
+        if extra:
+            rows.columns = (*variables, *extra)
+        return rows
+
+    def end_row(self, tag: str, sense: str, rhs: float) -> None:
+        """Close a row whose terms were appended to ``cols`` and ``coefs``."""
+        self.tags.append(tag)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.starts.append(len(self.cols))
+
+    def add(self, tag: str, cols, coefs, sense: str, rhs: float) -> None:
+        """Append a row of the given columns and coefficients."""
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.end_row(tag, sense, rhs)
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        tag = self.tags[k]  # raises the IndexError
+        if k < 0:
+            k += len(self)
+        a, b = self.starts[k], self.starts[k + 1]
+        terms = tuple(zip(map(self.columns.__getitem__, self.cols[a:b]), self.coefs[a:b]))
+        return LinearConstraint(tag, terms, self.senses[k], self.rhs[k])
+
+    def __iter__(self):
+        terms = zip(map(self.columns.__getitem__, self.cols), self.coefs)
+        lengths = map(operator.sub, islice(self.starts, 1, None), self.starts)
+        for tag, sense, rhs, n in zip(self.tags, self.senses, self.rhs, lengths):
+            yield LinearConstraint(tag, tuple(islice(terms, n)), sense, rhs)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the tuple of records it equals
+
+    def __repr__(self) -> str:
+        return f"<Rows: {len(self)} rows, {len(self.cols)} terms>"
+
+
 @dataclass(frozen=True)
 class IlpModel:
     """An immutable ILP: minimize objective subject to constraints.
 
     Variables of kind ``e`` are continuous with the bounds listed in
-    ``bounds``; all other kinds are binary.
+    ``bounds``; all other kinds are binary.  Constraints given as a
+    sequence of :class:`LinearConstraint` records become :class:`Rows`.
     """
 
     variables: tuple[VarRef, ...]
     objective: tuple[tuple[VarRef, float], ...]
-    constraints: tuple[LinearConstraint, ...]
+    constraints: Rows
     bounds: tuple[tuple[VarRef, float, float], ...]
+
+    def __post_init__(self):
+        if not isinstance(self.constraints, Rows):
+            object.__setattr__(self, "constraints", Rows.of(self.variables, self.constraints))
 
     @cached_property
     def variable_index(self) -> dict[VarRef, int]:
@@ -145,9 +243,10 @@ class IlpModel:
 
 def gc_paused(fn):
     """Run ``fn`` with the cyclic garbage collector paused, then put it back
-    as the caller had it.  The models are acyclic tuples, which reference
-    counting frees, so the full collections that allocating a million of
-    them sets off find nothing; the young-generation pass runs once after."""
+    as the caller had it.  A model's VarRefs, one per variable, are acyclic
+    named tuples that the collector tracks for good: the collections that
+    allocating them sets off free nothing and walk every VarRef alive.  The
+    young-generation pass runs once after."""
 
     @functools.wraps(fn)
     def paused(*args, **kwargs):
@@ -223,9 +322,9 @@ def universe_size(instance: Instance, arcs: ArcSets) -> int:
 
 
 # The most model variables a command accepts.  Building and exporting a model
-# takes about 1.5 KB per variable (peak RSS of `wsnsched build` on bench2
-# grid T=3, 55 032 variables, 113 MB against 32 MB at start, Python 3.11),
-# so a model at the cap needs about 1.5 GB.
+# takes about 1.1 KB per variable (peak RSS of `wsnsched build` on bench2
+# grid T=3, 55 032 variables, 88 MB against 32 MB at start, Python 3.11),
+# so a model at the cap needs about 1.1 GB.
 MAX_VARIABLES = 1_000_000
 
 
@@ -260,41 +359,37 @@ def build_model(
     fixed_mult = G if per_phenomenon_fixed_energy else 1
 
     variables = variable_universe(instance, arcs)
-    # One shared VarRef per variable, by kind and index tuple: a term of a
+    # The column of each variable, by kind and index tuple: a term of a
     # variable outside the universe raises KeyError.
-    refs: dict[str, dict[tuple, VarRef]] = {kind: {} for kind in KIND_ORDER}
-    for ref in variables:
-        refs[ref.kind][ref.indices] = ref
-    x, y, z, w, r, h, e = (refs[kind] for kind in KIND_ORDER)
-    plus = {ref: (ref, 1.0) for ref in variables}  # unit terms, shared by the rows
-    minus = {ref: (ref, -1.0) for ref in variables}
+    columns: dict[str, dict[tuple, int]] = {kind: {} for kind in KIND_ORDER}
+    for k, ref in enumerate(variables):
+        columns[ref.kind][ref.indices] = k
+    x, y, z, w, r, h, e = (columns[kind] for kind in KIND_ORDER)
 
     in_arcs, out_arcs, sources = arcs.in_arcs, arcs.out_arcs, arcs.sources
-    cons: list[LinearConstraint] = []
+    rows = Rows(variables)
+    add = rows.add
+    plus_minus = (1.0, -1.0)
 
     # C2: cover every demanded (j, t, g) or take the penalty.
     for g in range(G):
         for j in instance.demand_indices(g):
             for t in range(T):
-                terms = [plus[x[i, j, t, g]] for i in arcs.covering[g][j]]
-                terms.append(plus[h[j, t, g]])
-                cons.append(LinearConstraint(f"C2_j{j}_t{t}_g{g}", tuple(terms), ">=", 1.0))
+                cols = [x[i, j, t, g] for i in arcs.covering[g][j]]
+                cols.append(h[j, t, g])
+                add(f"C2_j{j}_t{t}_g{g}", cols, [1.0] * len(cols), ">=", 1.0)
 
     # C3: covering a point requires sensing the phenomenon.
     for g in range(G):
         for (i, j) in arcs.coverage[g]:
             for t in range(T):
-                cons.append(LinearConstraint(
-                    f"C3_i{i}_j{j}_t{t}_g{g}",
-                    (plus[x[i, j, t, g]], minus[r[i, t, g]]), "<=", 0.0))
+                add(f"C3_i{i}_j{j}_t{t}_g{g}", (x[i, j, t, g], r[i, t, g]), plus_minus, "<=", 0.0)
 
     # C4: sensing requires being active.
     for i in range(n):
         for t in range(T):
             for g in range(G):
-                cons.append(LinearConstraint(
-                    f"C4_i{i}_t{t}_g{g}",
-                    (plus[r[i, t, g]], minus[y[i, t]]), "<=", 0.0))
+                add(f"C4_i{i}_t{t}_g{g}", (r[i, t, g], y[i, t]), plus_minus, "<=", 0.0)
 
     # C5: at every sensor other than the source, stream in equals stream out.
     # Sinks absorb; no balance row is written for them.  Rows with no terms
@@ -305,12 +400,12 @@ def build_model(
                 for j in range(n):
                     if j == l:
                         continue
-                    terms = [plus[z[l, a, b, t, g]] for (a, b) in in_arcs[j]]
-                    terms += [minus[z[l, a, b, t, g]] for (a, b) in out_arcs[j] if b != l]
-                    if not terms:
+                    ins = [z[l, a, b, t, g] for (a, b) in in_arcs[j]]
+                    outs = [z[l, a, b, t, g] for (a, b) in out_arcs[j] if b != l]
+                    if not ins and not outs:
                         continue
-                    cons.append(LinearConstraint(
-                        f"C5_l{l}_j{j}_t{t}_g{g}", tuple(terms), "=", 0.0))
+                    add(f"C5_l{l}_j{j}_t{t}_g{g}", ins + outs,
+                        [1.0] * len(ins) + [-1.0] * len(outs), "=", 0.0)
 
     # C6: a stream leaves its source exactly when the source senses.  For
     # sensors with no coverage arc the z-sum is empty and the row pins r to 0.
@@ -318,63 +413,62 @@ def build_model(
         src = set(sources[g])
         for l in range(n):
             for t in range(T):
-                terms = []
+                cols = []
                 if l in src:
-                    terms = [plus[z[l, a, b, t, g]] for (a, b) in out_arcs[l] if b != l]
-                terms.append(minus[r[l, t, g]])
-                cons.append(LinearConstraint(
-                    f"C6_l{l}_t{t}_g{g}", tuple(terms), "=", 0.0))
+                    cols = [z[l, a, b, t, g] for (a, b) in out_arcs[l] if b != l]
+                coefs = [1.0] * len(cols)
+                cols.append(r[l, t, g])
+                coefs.append(-1.0)
+                add(f"C6_l{l}_t{t}_g{g}", cols, coefs, "=", 0.0)
 
     # C7/C8: arcs carry streams only between active sensors.
-    for (l, i, j, t, g), ref in z.items():
-        cons.append(LinearConstraint(
-            f"C7_l{l}_i{i}_j{j}_t{t}_g{g}", (plus[ref], minus[y[i, t]]), "<=", 0.0))
-    for (l, i, j, t, g), ref in z.items():
+    for (l, i, j, t, g), col in z.items():
+        add(f"C7_l{l}_i{i}_j{j}_t{t}_g{g}", (col, y[i, t]), plus_minus, "<=", 0.0)
+    for (l, i, j, t, g), col in z.items():
         if j < n:  # sink heads have no activity variable
-            cons.append(LinearConstraint(
-                f"C8_l{l}_i{i}_j{j}_t{t}_g{g}", (plus[ref], minus[y[j, t]]), "<=", 0.0))
+            add(f"C8_l{l}_i{i}_j{j}_t{t}_g{g}", (col, y[j, t]), plus_minus, "<=", 0.0)
 
     # C9: energy accounting per sensor.
     for i in range(n):
-        terms = [(y[i, t], tables.em * fixed_mult) for t in range(T)]
-        terms += [(w[i, t], tables.ea * fixed_mult) for t in range(T)]
+        cols = [y[i, t] for t in range(T)] + [w[i, t] for t in range(T)]
+        coefs = [tables.em * fixed_mult] * T + [tables.ea * fixed_mult] * T
         for t in range(T):
             for g in range(G):
                 for (a, b) in in_arcs[i]:
                     for l in sources[g]:
                         if i == l:
                             continue
-                        terms.append((z[l, a, b, t, g], tables.er[g]))
+                        cols.append(z[l, a, b, t, g])
+                        coefs.append(tables.er[g])
                 for (a, b) in out_arcs[i]:
                     for l in sources[g]:
                         if b == l:
                             continue
-                        terms.append((z[l, a, b, t, g], tables.et[(a, b)][g]))
-        terms.append(minus[e[(i,)]])
-        cons.append(LinearConstraint(f"C9_i{i}", tuple(terms), "<=", 0.0))
+                        cols.append(z[l, a, b, t, g])
+                        coefs.append(tables.et[(a, b)][g])
+        cols.append(e[(i,)])
+        coefs.append(-1.0)
+        add(f"C9_i{i}", cols, coefs, "<=", 0.0)
 
     # C11/C12: count off-to-on transitions.
     for i in range(n):
-        cons.append(LinearConstraint(
-            f"C11_i{i}", (plus[w[i, 0]], minus[y[i, 0]]), ">=", 0.0))
+        add(f"C11_i{i}", (w[i, 0], y[i, 0]), plus_minus, ">=", 0.0)
     for i in range(n):
         for t in range(1, T):
-            cons.append(LinearConstraint(
-                f"C12_i{i}_t{t}",
-                (plus[w[i, t]], minus[y[i, t]], plus[y[i, t - 1]]), ">=", 0.0))
+            add(f"C12_i{i}_t{t}", (w[i, t], y[i, t], y[i, t - 1]), (1.0, -1.0, 1.0), ">=", 0.0)
 
     # Objective: total drawn energy plus coverage and activation penalties.
-    objective = [plus[ref] for ref in e.values()]
-    objective += [(ref, tables.eh) for ref in h.values()]
+    objective = [(variables[k], 1.0) for k in e.values()]
+    objective += [(variables[k], tables.eh) for k in h.values()]
     if tables.eg != 0.0:
-        objective += [(ref, tables.eg) for ref in r.values()]
+        objective += [(variables[k], tables.eg) for k in r.values()]
 
-    bounds = tuple((ref, 0.0, tables.eb) for ref in e.values())
+    bounds = tuple((variables[k], 0.0, tables.eb) for k in e.values())
 
     return IlpModel(
         variables=variables,
         objective=tuple(objective),
-        constraints=tuple(cons),
+        constraints=rows,
         bounds=bounds,
     )
 
@@ -384,10 +478,7 @@ def model_stats(model: IlpModel) -> dict:
     var_counts: dict[str, int] = {k: 0 for k in KIND_ORDER}
     for ref in model.variables:
         var_counts[ref.kind] += 1
-    con_counts: dict[str, int] = {}
-    for c in model.constraints:
-        family = c.tag.split("_", 1)[0]
-        con_counts[family] = con_counts.get(family, 0) + 1
+    con_counts = Counter(tag.split("_", 1)[0] for tag in model.constraints.tags)
     n_bin = sum(v for k, v in var_counts.items() if k != "e")
     return {
         "variables": {**var_counts, "total": len(model.variables),

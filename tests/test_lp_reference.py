@@ -50,8 +50,7 @@ def _tiny_text(seed):
     return w.export_lp(w.build_model(inst, arcs))
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_models_equal_reference(name):
+def _model(name):
     if name == "two_sink":
         inst = two_sink_instance()
         arcs = w.build_arcs(inst)
@@ -60,7 +59,12 @@ def test_models_equal_reference(name):
         arcs = w.build_arcs(inst)
     else:
         inst, arcs = tiny_instance(int(name[4:]))
-    text = w.export_lp(w.build_model(inst, arcs))
+    return w.build_model(inst, arcs)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_models_equal_reference(name):
+    text = w.export_lp(_model(name))
     if name == "bench1_grid_T1" and lp._BLOCK_LINES > 2:
         assert text.count("\n") > 10 * lp._BLOCK_LINES  # many blocks
     assert _fields(w.parse_lp(text)) == _fields(ref.parse_lp(text))
@@ -112,8 +116,12 @@ def test_mutants_agree_with_reference():
 def test_block_boundaries_change_nothing(lines, monkeypatch):
     # With blocks of one or two lines, every row that spans lines crosses a
     # block boundary, and so do its label, its terms and its right-hand side.
+    # Export joins its lines in blocks of as many, and writes the same text.
+    models = {name: _model(name) for name in NAMES}
+    texts = {name: w.export_lp(model) for name, model in models.items()}
     monkeypatch.setattr(lp, "_BLOCK_LINES", lines)
     for name in NAMES:
+        assert w.export_lp(models[name]) == texts[name], name
         test_models_equal_reference(name)
     test_mutants_agree_with_reference()
 

@@ -1,10 +1,13 @@
 """Model assembly: variable universe, constraint emission, size accounting."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 import wsnsched as w
 from wsnsched.cli import MAX_VARIABLES
-from wsnsched.model import KIND_ORDER
+from wsnsched.model import KIND_ORDER, Rows
 from wsnsched.solve import parse_external_solution
 from helpers import POOL_LAYOUTS, make_instance, tiny_instance, trivial_instance
 
@@ -311,3 +314,137 @@ def test_records_are_named_tuples():
     assert repr(row) == ("LinearConstraint(tag='C4_i0_t0_g0', terms=((VarRef(kind='x', "
                          "indices=(0, 1, 2, 0)), 1.0),), sense='<=', rhs=0.0)")
     assert not hasattr(ref, "__dict__") and not hasattr(row, "__dict__")
+
+
+def _records():
+    """Three rows over fresh refs; y_i7_t0 is not among the variables."""
+    y0, e0, y7 = w.VarRef("y", (0, 0)), w.VarRef("e", (0,)), w.VarRef("y", (7, 0))
+    return (
+        w.LinearConstraint("a", ((y0, 1.0), (e0, -2.5)), "<=", 4.0),
+        w.LinearConstraint("b", ((y7, 0.5),), ">=", -3.0),
+        w.LinearConstraint("c", ((w.VarRef("e", (0,)), 1.0), (y7, 1.0), (y0, -1.0)), "=", 0.0),
+    )
+
+
+def _hand_model():
+    variables = (w.VarRef("y", (0, 0)), w.VarRef("e", (0,)))
+    return w.IlpModel(variables=variables, objective=(), constraints=_records(), bounds=())
+
+
+def test_rows_index_slice_and_iterate_as_records():
+    records = _records()
+    rows = _hand_model().constraints
+    assert isinstance(rows, Rows)
+    assert len(rows) == 3
+    assert rows[0] == records[0] and rows[2] == records[2]
+    assert rows[-1] == records[2] and rows[-3] == records[0]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            rows[k]
+    assert rows[1:] == records[1:] and isinstance(rows[1:], tuple)
+    assert rows[::-2] == records[::-2]
+    assert rows[5:] == ()
+    assert list(rows) == list(records)
+    assert all(type(row) is w.LinearConstraint for row in rows)
+    assert [row.tag for row in reversed(rows)] == ["c", "b", "a"]
+
+
+def test_rows_compare_with_records_both_ways():
+    records = _records()
+    rows = _hand_model().constraints
+    assert rows == records and records == rows
+    assert not rows != records and not records != rows
+    for other in (records[:2], records[2:] + records[:2],
+                  records[:2] + (records[2]._replace(rhs=1.0),),
+                  records[:2] + (records[2]._replace(terms=records[2].terms[:2]),)):
+        assert rows != other and other != rows
+    assert Rows.of((), ()) == () and () == Rows.of((), ())
+    # Rows over another column table compare by their refs, not their ids.
+    assert Rows.of(_hand_model().variables[::-1], records) == rows
+    assert rows != "abc" and rows != 3
+    assert hash(rows) == hash(records)
+    assert hash(_hand_model()) == hash(_hand_model())  # a frozen model still hashes
+
+
+def test_model_converts_records_once():
+    model = _hand_model()
+    rows = model.constraints
+    y0, e0 = model.variables
+    # The ref outside the variables gets a column after them, in order of
+    # first use, and every term reads the table's one ref.
+    assert rows.columns == (y0, e0, w.VarRef("y", (7, 0)))
+    assert list(rows.cols) == [0, 1, 2, 1, 2, 0]
+    assert list(rows.coefs) == [1.0, -2.5, 0.5, 1.0, 1.0, -1.0]
+    assert list(rows.starts) == [0, 2, 3, 6]
+    assert (rows.tags, rows.senses, list(rows.rhs)) == (["a", "b", "c"], ["<=", ">=", "="],
+                                                         [4.0, -3.0, 0.0])
+    assert rows[2].terms[0][0] is e0 and rows[2].terms[1][0] is rows[1].terms[0][0]
+    # Given Rows, the model keeps them; an equal model compares equal.
+    assert w.IlpModel(model.variables, (), rows, ()).constraints is rows
+    assert w.IlpModel(model.variables, (), _records(), ()) == model
+    # A model whose rows use declared refs only shares them all.
+    inst = w.scenario_instance("default", kind="random", periods=1, seed=4)
+    built = w.build_model(inst, w.build_arcs(inst))
+    assert built.constraints.columns is built.variables
+    table = {ref: w.VarRef(*ref) for ref in built.variables}  # equal, not the same
+    fresh = w.IlpModel(tuple(table.values()),
+                       tuple((table[ref], coef) for ref, coef in built.objective),
+                       tuple(built.constraints),
+                       tuple((table[ref], lo, hi) for ref, lo, hi in built.bounds))
+    assert fresh == built
+    assert fresh.constraints.columns is fresh.variables
+    _assert_refs_shared(fresh)
+
+
+def test_parsed_rows_index_the_variables():
+    inst = w.scenario_instance("default", kind="random", periods=2, seed=21)
+    model = w.build_model(inst, w.build_arcs(inst))
+    parsed = w.parse_lp(w.export_lp(model))
+    assert parsed.constraints.columns is parsed.variables
+    assert parsed.constraints == model.constraints == tuple(parsed.constraints)
+
+
+def _small_grid():
+    # The grid of test_lp.py::test_parse_holds_one_block_at_a_time: 2 189
+    # variables, 4 159 rows.
+    inst = w.gen_grid(3, 3, 3, 3, (10.0, 10.0), w.ScenarioConfig(periods=2))
+    arcs = w.build_arcs(inst)
+    w.build_model(inst, arcs)  # the arc sets' derived tables, made once
+    return inst, arcs
+
+
+def _tracked_and_retained(fn, *args):
+    """``fn(*args)``, the number of objects the collector tracks that it
+    adds, and the bytes it retains (tracemalloc)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    return result, len(gc.get_objects()) - before, retained
+
+
+def test_models_hold_one_tracked_object_per_variable():
+    # Rows are flat arrays, which the collector does not track: building and
+    # parsing add the VarRefs and 90 and 101 objects beyond them (Python
+    # 3.11), where rows and terms kept as tuples added about 8 per variable.
+    model, built, _ = _tracked_and_retained(w.build_model, *_small_grid())
+    text = w.export_lp(model)
+    _, parsed, _ = _tracked_and_retained(w.parse_lp, text)
+    assert built <= len(model.variables) + 250, built
+    assert parsed <= len(model.variables) + 250, parsed
+
+
+def test_models_retain_few_bytes_per_variable():
+    # About 460 bytes per variable built or parsed (tracemalloc, Python
+    # 3.11); rows and terms kept as tuples took 784 built, 912 parsed.
+    model, _, built = _tracked_and_retained(w.build_model, *_small_grid())
+    text = w.export_lp(model)
+    _, _, parsed = _tracked_and_retained(w.parse_lp, text)
+    n = len(model.variables)
+    assert built < 600 * n, built / n
+    assert parsed < 600 * n, parsed / n
