@@ -23,7 +23,7 @@ from .instance import (
     gen_random,
 )
 from .ioutil import atomic_write_text
-from .lp import export_lp
+from .lp import lp_blocks
 from .model import MAX_VARIABLES  # noqa: F401  (the cap _load applies, importable here)
 from .model import build_model, check_model_size, model_stats
 from .report import load_spec, run_experiment, save_rows, save_views
@@ -175,7 +175,7 @@ def _cmd_build(args) -> int:
     instance, arcs = _load(args.instance)
     model = build_model(instance, arcs,
                         per_phenomenon_fixed_energy=args.per_phenomenon_fixed_energy)
-    atomic_write_text(args.lp, export_lp(model))
+    atomic_write_text(args.lp, lp_blocks(model))
     stats = model_stats(model)
     if args.stats:
         atomic_write_text(args.stats, json.dumps(stats, indent=2) + "\n")

@@ -17,9 +17,10 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 INSTANCE_FORMAT = "wsn-instance/1"
 
@@ -322,35 +323,43 @@ class ArcSets:
         return EnergyTables(self.source, self)
 
 
-def _positions(points: Sequence[Point2D]) -> np.ndarray:
-    if not points:
-        return np.zeros((0, 2))
-    return np.array([[p.x, p.y] for p in points], dtype=float)
+def _points(points: Sequence[Point2D]) -> list[complex]:
+    return [complex(p.x, p.y) for p in points]
 
 
-def _pairs_within(a: np.ndarray, b: np.ndarray, radius: float) -> list[tuple[int, int]]:
+def _pairs_within(a: list[complex], b: list[complex], radius: float) -> list[tuple[int, int]]:
     # Boundary inclusive: distance == radius yields an arc.
-    if a.size == 0 or b.size == 0:
-        return []
-    d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-    ii, jj = np.nonzero(d <= radius)
-    return sorted(zip(ii.tolist(), jj.tolist()))
+    pairs = []
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            try:
+                if abs(p - q) <= radius:
+                    pairs.append((i, j))
+            except OverflowError:  # hypot is inf: beyond any finite radius
+                pass
+    return pairs
 
 
 def build_arcs(instance: Instance) -> ArcSets:
-    """Derive coverage, sensor-sensor and sensor-sink arcs from geometry."""
-    sp = _positions(instance.sensors)
-    dp = _positions([d.position for d in instance.demand_points])
-    mp = _positions(instance.sinks)
+    """Derive coverage, sensor-sensor and sensor-sink arcs from geometry.
 
-    coverage = []
-    for ph in instance.phenomena:
-        coverage.append(tuple(_pairs_within(sp, dp, ph.coverage_radius)))
+    A pair is an arc when the C library's ``hypot`` of its coordinate
+    differences, which ``abs`` of a complex number calls (as ``np.hypot``
+    does), is at most the radius; where ``hypot`` overflows there is no
+    arc.  ``math.hypot`` is correctly rounded and differs from it in the
+    last ulp, so it would move arcs whose length rounds to the radius.
+    """
+    sp = _points(instance.sensors)
+    dp = _points([d.position for d in instance.demand_points])
+    mp = _points(instance.sinks)
+
+    coverage = tuple(tuple(_pairs_within(sp, dp, ph.coverage_radius))
+                     for ph in instance.phenomena)
     comm = [(i, j) for i, j in _pairs_within(sp, sp, instance.comm_radius) if i != j]
     to_sink = _pairs_within(sp, mp, instance.comm_radius)
 
     return ArcSets(
-        coverage=tuple(coverage),
+        coverage=coverage,
         comm=tuple(comm),
         to_sink=tuple(to_sink),
         source=instance,
@@ -504,6 +513,8 @@ def gen_grid(
     With the default zero margin the lattice spans the full area, corners
     included; a single row or column collapses to the center line.
     """
+    import numpy as np
+
     config = config or ScenarioConfig()
     w, h = area
     m = config.grid_margin
@@ -525,6 +536,8 @@ def gen_random(
     config: ScenarioConfig | None = None,
 ) -> Instance:
     """Uniformly random sensor and demand-point positions."""
+    import numpy as np
+
     if n_sensors < 1 or n_demand_points < 1:
         raise ValueError("need at least one sensor and one demand point")
     config = config or ScenarioConfig()

@@ -22,8 +22,9 @@ not write it back.  Each row's terms go straight into the arrays of the
 model's :class:`~wsnsched.model.Rows`, as column ids and coefficients.
 
 Export formats each variable's name once and joins its lines a block of
-``_BLOCK_LINES`` at a time, so until the final join it holds one string per
-block, not one per line.
+``_BLOCK_LINES`` at a time (:func:`lp_blocks`), so until the final join it
+holds one string per block, not one per line; a writer that takes the
+blocks as they come holds one.
 """
 
 from __future__ import annotations
@@ -124,15 +125,18 @@ def _lines(model: IlpModel):
     yield "End"
 
 
-def export_lp(model: IlpModel) -> str:
-    """Serialize a model to LP text, joining its lines a block of
-    _BLOCK_LINES at a time."""
+def lp_blocks(model: IlpModel):
+    """A model's LP text in pieces of _BLOCK_LINES lines, each ending with
+    a newline."""
     lines = _lines(model)
-    blocks = []
     while block := list(islice(lines, _BLOCK_LINES)):
         block.append("")  # the join then ends the block with a newline
-        blocks.append("\n".join(block))
-    return "".join(blocks)
+        yield "\n".join(block)
+
+
+def export_lp(model: IlpModel) -> str:
+    """Serialize a model to LP text."""
+    return "".join(lp_blocks(model))
 
 
 # -- import --------------------------------------------------------------------

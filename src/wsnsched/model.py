@@ -322,9 +322,9 @@ def universe_size(instance: Instance, arcs: ArcSets) -> int:
 
 
 # The most model variables a command accepts.  Building and exporting a model
-# takes about 1.1 KB per variable (peak RSS of `wsnsched build` on bench2
-# grid T=3, 55 032 variables, 88 MB against 32 MB at start, Python 3.11),
-# so a model at the cap needs about 1.1 GB.
+# takes about 0.8 KB per variable (peak RSS of `wsnsched build` on bench2
+# grid T=3, 55 032 variables, 59 MB against 19 MB at start, Python 3.11),
+# so a model at the cap needs about 0.8 GB.
 MAX_VARIABLES = 1_000_000
 
 

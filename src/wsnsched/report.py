@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import statistics
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -340,6 +339,8 @@ def run_experiment(spec: ExperimentSpec, log=None) -> list[ExperimentRow]:
     layouts run once per seed.  Every solution is re-validated before it
     is counted; an infeasible one aborts the whole experiment.
     """
+    import statistics  # it imports fractions and decimal; only experiments need it
+
     rows = []
     for kind in spec.types:
         for periods in spec.periods:

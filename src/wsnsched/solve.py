@@ -29,8 +29,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instance import ArcSets, Instance, arcs_for
 from .model import VarRef, parse_var_name, variable_universe
 from .validate import _Universe
@@ -574,6 +572,8 @@ def brute_force_oracle(
     Raises :class:`OracleCapExceeded` when the model has more than ``cap``
     binary variables (enumeration time grows as 2^free).
     """
+    import numpy as np
+
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     universe = variable_universe(instance, arcs)

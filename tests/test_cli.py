@@ -11,6 +11,8 @@ import pytest
 
 import wsnsched as w
 from wsnsched.cli import MAX_VARIABLES, main
+from wsnsched.ioutil import atomic_write_text
+from wsnsched.solve import solution_to_json
 
 
 def _gen_small(tmp_path, name="inst.json", extra=()):
@@ -174,7 +176,8 @@ def test_build_solve_validate_render_pipeline(tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     assert main(["build", "--instance", str(inst_path), "--lp", str(lp_path),
                  "--stats", str(stats_path)]) == 0
-    assert lp_path.read_text().startswith("\\ wsn-ilp/1")
+    inst = w.load_instance(inst_path)
+    assert lp_path.read_bytes() == w.export_lp(w.build_model(inst, w.build_arcs(inst))).encode()
     stats = json.loads(stats_path.read_text())
     assert stats["variables"]["total"] > 0
 
@@ -504,3 +507,78 @@ def test_experiment_command(tmp_path, capsys):
     spec_path.write_text(json.dumps({"format": "nope"}))
     assert main(["experiment", "--spec", str(spec_path),
                  "--out", str(out_path)]) == 2
+
+
+def test_atomic_write_keeps_the_old_file_when_the_chunks_raise(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new "
+        raise RuntimeError("halfway")
+
+    with pytest.raises(RuntimeError):
+        atomic_write_text(path, chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    atomic_write_text(path, iter(["a\n", "b\n"]))
+    assert path.read_text() == "a\nb\n"
+
+
+# Every command that reads an instance file, then the two that draw random
+# numbers or enumerate with numpy.  EXT holds SOL's values as an external
+# solution; GEN, the arguments that generated INST.
+_LEAN_RUN = """
+import sys
+
+def heavy():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+import wsnsched
+assert not heavy(), ("import wsnsched", heavy())
+from wsnsched.cli import main
+
+inst, sol, ext, out, *gen = sys.argv[1:]
+for argv in (
+    ["build", "--instance", inst, "--lp", out + "/m.lp", "--stats", out + "/s.json"],
+    ["solve", "--instance", inst, "--method", "heuristic", "--out", out + "/h.json"],
+    ["solve", "--instance", inst, "--method", "exact", "--out", out + "/x.json"],
+    ["validate", "--instance", inst, "--solution", sol],
+    ["validate", "--instance", inst, "--solution", ext, "--external"],
+    ["render", "--instance", inst, "--solution", sol, "--outdir", out + "/views"],
+):
+    assert main(argv) == 0, argv
+    assert not heavy(), (argv[:3], heavy())
+assert main(["gen", "grid", "--out", out + "/g.json", *gen]) == 0
+assert main(["solve", "--instance", inst, "--method", "oracle", "--out", out + "/o.json"]) == 0
+"""
+
+
+def test_commands_that_read_an_instance_do_not_import_numpy(tmp_path):
+    # Two sensors and two demand points: 16 binaries for the oracle.
+    gen = ["--sensor-grid", "1", "2", "--dp-grid", "1", "2", "--area", "10", "10",
+           "--comm-radius", "8"]
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "grid", "--out", str(inst_path), *gen]) == 0
+    inst = w.load_instance(inst_path)
+    arcs = w.build_arcs(inst)
+    solution = w.solve_heuristic(inst, arcs)
+    sol_path = tmp_path / "sol.json"
+    w.save_solution(solution, sol_path)
+    ext_path = tmp_path / "ext.sol"
+    ext_path.write_text("".join(f"{ref.name} = {val}\n"
+                                for ref, val in solution.values.items() if val))
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(w.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_RUN, str(inst_path), str(sol_path), str(ext_path),
+         str(out), *gen], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+    # gen and the oracle still work, and as they do in this process.
+    assert (out / "g.json").read_bytes() == inst_path.read_bytes()
+    oracle = json.loads((out / "o.json").read_text())
+    expect = solution_to_json(w.brute_force_oracle(inst, arcs))
+    del oracle["wall_time_s"], expect["wall_time_s"]
+    assert oracle == expect

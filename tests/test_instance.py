@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wsnsched as w
+from wsnsched.cli import main
 from helpers import (
     POOL_LAYOUTS,
     make_instance,
@@ -218,6 +219,87 @@ def test_arcs_match_bruteforce_recomputation():
                 if math.dist((a.x, a.y), (m.x, m.y)) <= inst.comm_radius:
                     to_sink.add((i, k))
         assert set(arcs.to_sink) == to_sink
+
+
+def _numpy_arcs(inst):
+    """(coverage, comm, to_sink) by the numpy formula: np.hypot of the
+    coordinate differences at most the radius, pairs in sorted order."""
+    def pos(points):
+        return np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
+
+    def within(a, b, radius):
+        d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+        ii, jj = np.nonzero(d <= radius)
+        return tuple(sorted(zip(ii.tolist(), jj.tolist())))
+
+    sp, mp = pos(inst.sensors), pos(inst.sinks)
+    dp = pos([d.position for d in inst.demand_points])
+    with np.errstate(over="ignore"):
+        coverage = tuple(within(sp, dp, ph.coverage_radius) for ph in inst.phenomena)
+        comm = tuple((i, j) for i, j in within(sp, sp, inst.comm_radius) if i != j)
+        return coverage, comm, within(sp, mp, inst.comm_radius)
+
+
+def _assert_numpy_arcs(inst):
+    arcs = w.build_arcs(inst)
+    assert (arcs.coverage, arcs.comm, arcs.to_sink) == _numpy_arcs(inst)
+    return arcs
+
+
+@pytest.mark.parametrize("scenario", ["default", "bench1", "bench2"])
+def test_arcs_equal_numpy_on_the_scenarios(scenario):
+    _assert_numpy_arcs(w.scenario_instance(scenario, "grid"))
+    for seed in range(100):
+        _assert_numpy_arcs(w.scenario_instance(scenario, "random", seed=seed))
+
+
+def test_arcs_equal_numpy_where_distance_is_the_radius():
+    # On a 3 x 4 lattice diagonal neighbours are exactly 5 apart.
+    lattice = [(3.0 * i, 4.0 * j) for i in range(4) for j in range(4)]
+    inst = make_instance(sensors=lattice, demand_points=lattice, sinks=[(0.0, 0.0)],
+                         radii=(5.0, 10.0), comm_radius=5.0, area=(9.0, 12.0))
+    arcs = _assert_numpy_arcs(inst)
+    assert {(0, 5), (5, 0)} <= set(arcs.comm)  # (0, 0) and (3, 4)
+    assert (0, 5) in arcs.coverage[0]
+
+    # On a 0.1-step lattice the differences are rounded, and for some sensor
+    # pairs about 0.5 apart math.hypot and the C library's hypot fall on
+    # opposite sides of the radius: only the latter is the numpy rule.
+    lattice = [(i * 0.1, j * 0.1) for i in range(12) for j in range(12)]
+    assert any((math.hypot(ax - bx, ay - by) <= 0.5) != (abs(complex(ax - bx, ay - by)) <= 0.5)
+               for ax, ay in lattice for bx, by in lattice)
+    inst = make_instance(sensors=lattice, demand_points=lattice[::5],
+                         sinks=[(0.0, 0.0), (0.5, 0.5)],
+                         radii=(0.5, 0.3), comm_radius=0.5, area=(1.1, 1.1))
+    _assert_numpy_arcs(inst)
+
+
+def test_arcs_equal_numpy_without_sinks():
+    inst = make_instance(sensors=[(0.0, 0.0), (1.0, 1.0)], demand_points=[(0.5, 0.5)],
+                         sinks=[(1.0, 0.0)])
+    object.__setattr__(inst, "sinks", ())  # the constructor refuses this
+    assert _assert_numpy_arcs(inst).to_sink == ()
+
+
+def test_arcs_where_hypot_overflows(tmp_path, capsys):
+    # hypot(big, big) overflows: the numpy formula reads inf, so no arc,
+    # where a bare abs() of the complex difference raises.
+    big = 1.7e308
+    inst = make_instance(sensors=[(0.0, 0.0), (big, big), (big, 0.0)],
+                         demand_points=[(big, big), (0.0, 0.0)], sinks=[(0.0, big)],
+                         radii=(big,), area=(big, big))
+    arcs = _assert_numpy_arcs(inst)
+    assert arcs.coverage == (((0, 1), (1, 0), (2, 0), (2, 1)),)
+    assert arcs.comm == () and arcs.to_sink == ()
+    path = tmp_path / "inst.json"
+    w.save_instance(inst, path)
+    assert main(["build", "--instance", str(path), "--lp", str(tmp_path / "m.lp")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+    # Past the area check, a difference of 2 * big is inf and one of
+    # (big, big) overflows again.
+    object.__setattr__(inst, "sensors", inst.sensors + (w.Point2D(-big, -big),))
+    assert _assert_numpy_arcs(inst).coverage == (((0, 1), (1, 0), (2, 0), (2, 1)),)
 
 
 def test_comm_arcs_symmetric():
