@@ -7,19 +7,12 @@ Export is deterministic and numbers are written with ``repr`` precision,
 so export -> parse -> export reproduces the file byte for byte.  A bound
 of (-inf, inf) is written ``name free``.
 
-Import reads the text a block of ``_BLOCK_LINES`` lines at a time, so what
-it holds beyond the model it builds is about one block's lines and tokens.
-Each section's lines in a block become a flat list of token strings with
-one ``findall``; the lines are well formed exactly when the tokens cover
-every character but whitespace.  A row that runs past the end of a block
-carries its unread tokens into the next one.  A token's line and column are
-recomputed from its source line only when an error is raised, and a row
-error is raised only once the rest of the file has been read, so that a
-section or character error anywhere comes first: the errors are the same
-whatever the block size.  Numbers take ASCII digits only, as variable names
-do.  A literal that overflows to infinity is rejected, since export could
-not write it back.  Each row's terms go straight into the arrays of the
-model's :class:`~wsnsched.model.Rows`, as column ids and coefficients.
+Import reads the text once, a line at a time (:class:`_Parser`), so what
+it holds beyond the model it builds is about one line's tokens.  Numbers
+take ASCII digits only, as variable names do.  A literal that overflows to
+infinity is rejected, since export could not write it back.  Each row's
+terms go straight into the arrays of the model's
+:class:`~wsnsched.model.Rows`, as column ids and coefficients.
 
 Export formats each variable's name once and joins its lines a block of
 ``_BLOCK_LINES`` at a time (:func:`lp_blocks`), so until the final join it
@@ -29,12 +22,10 @@ blocks as they come holds one.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import re
 from array import array
-from functools import cached_property
 from itertools import chain, islice
 
 from .model import IlpModel, Rows, VarRef, gc_paused, parse_var_name
@@ -165,8 +156,7 @@ _SECTION_WORDS = {
     "end": "end",
 }
 
-# Import reads this many lines at a time: a block's lines, and their tokens,
-# are parsed and dropped before the next block is read.  Export joins its
+# Import splits the text into lines this many at a time.  Export joins its
 # lines in blocks of as many.
 _BLOCK_LINES = 1024
 
@@ -183,10 +173,9 @@ def _is_name(text: str) -> bool:
 
 def _blocks(text: str):
     """The lines of ``text.splitlines()``, in blocks that end after every
-    _BLOCK_LINES-th newline, each with the number of its first line.  A cut
-    just after a newline is a cut between lines, so the blocks' lines are
-    the text's lines."""
-    pos, first = 0, 1
+    _BLOCK_LINES-th newline.  A cut just after a newline is a cut between
+    lines, so the blocks' lines are the text's lines."""
+    pos = 0
     while pos < len(text):
         end = pos
         for _ in range(_BLOCK_LINES):
@@ -194,155 +183,189 @@ def _blocks(text: str):
             if not end:
                 end = len(text)
                 break
-        lines = text[pos:end].splitlines()
-        yield first, lines
-        first += len(lines)
+        yield text[pos:end].splitlines()
         pos = end
 
 
-class _Block:
-    """One section's lines from one block, split into tokens, after the
-    tokens carried over from the section's previous block.
+class _Parser:
+    """Parses LP text in one pass, line by line.
 
-    Parsing walks the tokens by index.  A carried token keeps the (line,
-    start column, end column) it was read at; the others' lines and columns
-    are recomputed from the block's lines only as needed.
+    :meth:`read` walks the lines, checking the order of the sections, and
+    has each section's parser pull the section's tokens from
+    :meth:`tokens`, one line's at a time, so a row may span lines.  A
+    line's tokens come from one ``findall``; the line is well formed exactly
+    when they and its spaces cover it.  A section or character error is
+    raised at once, a section's first row error only after the rest of the
+    text has been read, so the former comes first wherever it stands.  A
+    token's column is recomputed from its line only when an error is raised.
+
+    ``names`` maps each variable name to its column, and ``refs`` lists the
+    one :class:`VarRef` of each column, in order of first appearance.
     """
 
-    def __init__(self, carried_toks: list[str], carried: list[tuple[int, int, int]],
-                 codes: list[str], linenos: list[int]):
-        self.carried = carried
-        self.codes = codes  # non-blank lines, comments cut off
-        self.linenos = linenos
-        text = "\n".join(codes)
-        toks = _TOKEN_RE.findall(text)
-        # findall skips what no token matches, so the lines are well formed
-        # exactly when the tokens, the spaces and the joining newlines make
-        # up the whole text.  Other whitespace, or a character no token
-        # covers, is told apart by scanning the text token by token.
-        if text and sum(map(len, toks)) + text.count(" ") + len(codes) - 1 != len(text):
-            end = _LINE_RE.match(text).end()
-            if end < len(text):
-                line = linenos[text.count("\n", 0, end)]
-                raise LpParseError(f"unexpected character {text[end]!r}", line,
-                                   end - text.rfind("\n", 0, end))
-        self.toks = carried_toks + toks if carried_toks else toks
+    def __init__(self, text: str):
+        self.count = 0  # the number of lines, once all have been read
+        self.lines = self._lines(text)
+        self.line = next(self.lines, None)  # the next line to read
+        self.opened: dict[str, LpParseError | None] = {}  # each section's first row error
+        self.ended = False
+        self.bad: LpParseError | None = None  # the character error, once raised
+        # The line the last token was read from, the iterator over its
+        # tokens, and the line before it.
+        self.at = self.before = (0, "", None)
+        self.it = iter(())
+        self.names: dict[str, int] = {}
+        self.refs: list[VarRef] = []
+        self.obj_cols = array("l")
+        self.obj_coefs = array("d")
+        self.rows = Rows(self.refs)  # each row's terms are appended as they are read
+        self.labels: set[str] = set()
+        self.bounds: dict[int, tuple[float, float]] = {}  # by column
+        self.binaries: dict[int, None] = {}  # columns, in declaration order
 
-    @cached_property
-    def nos(self) -> list[int]:
-        """The line number of each token."""
-        nos = [line for line, _, _ in self.carried]
-        for lineno, code in zip(self.linenos, self.codes):
-            nos += [lineno] * len(_TOKEN_RE.findall(code))
-        return nos
+    def _lines(self, text: str):
+        """The non-blank lines as (line number, code, section word or
+        None), the code being the line with its comment cut off."""
+        lineno = 0
+        for lineno, raw in enumerate(chain.from_iterable(_blocks(text)), start=1):
+            code = raw.split("\\", 1)[0]  # comment to end of line
+            bare = code.strip()
+            if bare:
+                yield lineno, code, _SECTION_WORDS.get(bare.lower())
+        self.count = lineno
 
-    def spans(self, k: int) -> list[tuple[int, int, int]]:
-        """The line, start column and end column of every token from k on,
-        reading back from the last line only as far as those tokens reach."""
-        need = len(self.toks) - max(k, len(self.carried))
-        spans: list[tuple[int, int, int]] = []
-        for lineno, code in zip(reversed(self.linenos), reversed(self.codes)):
-            if len(spans) >= need:
-                break
-            spans[:0] = [(lineno, m.start() + 1, m.end() + 1) for m in _TOKEN_RE.finditer(code)]
-        return self.carried[k:] + spans[len(spans) - need:]
+    def read(self) -> None:
+        """Read the text, checking the order of its sections, and have each
+        section's parser read the section's tokens; then raise the first
+        row error, if any, in section order."""
+        while (line := self.line) is not None:
+            self.line = next(self.lines, None)
+            lineno, code, word = line
+            if word == "maximize":
+                raise LpParseError("only minimization is supported", lineno, 1)
+            if word == "end":
+                self.ended = True
+                continue
+            if self.ended:
+                raise LpParseError("content after End", lineno, 1)
+            if word is None:
+                raise LpParseError("content before Minimize", lineno, 1)
+            if word in self.opened:
+                raise LpParseError(f"duplicate section {code.strip()!r}", lineno, 1)
+            self.opened[word] = None
+            tokens = self.tokens()
+            try:
+                getattr(self, f"read_{word}")(tokens)
+            except LpParseError as err:
+                if err is self.bad:
+                    raise
+                self.opened[word] = err
+            for _ in tokens:  # the rest of the section, still checked
+                pass
+        if not self.ended:
+            raise LpParseError("missing End", self.count + 1, 1)
+        if "objective" not in self.opened:
+            raise LpParseError("missing Minimize section", self.count + 1, 1)
+        for section in ("objective", "constraints", "bounds", "binaries"):
+            if self.opened.get(section) is not None:
+                raise self.opened[section]
 
-    def error(self, message: str, k: int, after: bool = False) -> LpParseError:
-        """An error at token k, or just after it."""
-        lineno, start, end = self.spans(k)[0]
-        return LpParseError(message, lineno, end if after else start)
+    def tokens(self):
+        """The section's tokens, up to the next section word."""
+        while (line := self.line) is not None and line[2] is None:
+            self.line = next(self.lines, None)
+            lineno, code, _ = line
+            toks = _TOKEN_RE.findall(code)
+            # findall skips what no token matches; other whitespace than a
+            # space, or a character no token covers, is told apart by
+            # scanning the line token by token.
+            if len("".join(toks)) + code.count(" ") != len(code):
+                end = _LINE_RE.match(code).end()
+                if end < len(code):
+                    self.bad = LpParseError(f"unexpected character {code[end]!r}", lineno, end + 1)
+                    raise self.bad
+            self.before, self.at = self.at, line
+            self.it = it = iter(toks)
+            yield from it
 
-    def token(self, k: int, stop: int) -> str:
-        if k < stop:
-            return self.toks[k]
-        # Running out of tokens ends the last line read, not the file.
-        raise self.error("unexpected end of line", stop - 1, after=True)
+    def peek(self) -> str | None:
+        """The section's next token, left unread; None at its end."""
+        rest = operator.length_hint(self.it)
+        if rest:
+            return _TOKEN_RE.findall(self.at[1])[-rest]
+        if self.line is None or self.line[2] is not None:
+            return None
+        first = _TOKEN_RE.search(self.line[1])
+        return first and first.group()
 
-    def number(self, k: int) -> float:
-        """Token k's value; a literal that overflows could not be written back."""
-        value = float(self.toks[k])
+    def mark(self, back: int = 0) -> tuple[tuple[int, str, str | None], int]:
+        """Where the token last read is, or the one ``back`` tokens before
+        it: its line, and how many of the line's tokens follow it."""
+        rest = operator.length_hint(self.it) + back
+        if back and rest == len(_TOKEN_RE.findall(self.at[1])):  # it ends the line before
+            return self.before, 0
+        return self.at, rest
+
+    def error(self, message: str, at: tuple | None = None, after: bool = False) -> LpParseError:
+        """An error at a token: the one last read or one marked before;
+        ``after`` puts it just past the token."""
+        (lineno, code, _), rest = at or self.mark()
+        token = list(_TOKEN_RE.finditer(code))[-1 - rest]
+        return LpParseError(message, lineno, (token.end() if after else token.start()) + 1)
+
+    def take(self, tokens) -> str:
+        tok = next(tokens, None)
+        if tok is None:
+            # Running out of tokens ends the last line read, not the file.
+            raise self.error("unexpected end of line", after=True)
+        return tok
+
+    def number(self, tok: str) -> float:
+        """The value of the token last read; a literal that overflows could
+        not be written back."""
+        value = float(tok)
         if math.isinf(value):
-            raise self.error(f"number {self.toks[k]} is out of range", k)
+            raise self.error(f"number {tok} is out of range")
         return value
 
-    def signed_number(self, k: int, stop: int) -> tuple[float, int]:
-        """The number at token k after any signs, and the index past it."""
+    def signed_number(self, tokens) -> float:
         sign = 1.0
-        tok = self.token(k, stop)
+        tok = self.take(tokens)
         while tok in ("+", "-"):
             if tok == "-":
                 sign = -sign
-            k += 1
-            tok = self.token(k, stop)
+            tok = self.take(tokens)
         if not _is_number(tok):
-            raise self.error(f"expected a number, found {tok!r}", k)
-        return sign * self.number(k), k + 1
+            raise self.error(f"expected a number, found {tok!r}")
+        return sign * self.number(tok)
 
-
-class _Section:
-    """One section's parser, fed the section's lines a block at a time.
-
-    ``read`` parses whole rows and returns the index of the first token it
-    left unread; a row that runs past the end of a block carries those
-    tokens into the next block.  The first row error is kept, not raised,
-    so that ``parse_lp`` first reads the rest of the file: a section or
-    character error anywhere takes precedence.  ``names`` and ``refs`` are
-    shared by the sections of one file: ``names`` maps each variable name
-    to its column, and ``refs`` lists the one :class:`VarRef` of each
-    column, in order of first appearance in the file.
-    """
-
-    def __init__(self, names: dict[str, int], refs: list[VarRef]):
-        self.names = names
-        self.refs = refs
-        self.carry: tuple[list[str], list[tuple[int, int, int]]] = ([], [])  # tokens, spans
-        self.failure: LpParseError | None = None
-
-    def feed(self, codes: list[str], linenos: list[int], final: bool) -> None:
-        """Parse the section's next lines; ``final`` when no more follow."""
-        block = _Block(*self.carry, codes, linenos)
-        if self.failure is not None:
-            return
-        try:
-            k = self.read(block, final)
-        except LpParseError as err:
-            self.failure = err
-            return
-        self.carry = (block.toks[k:], block.spans(k))
-
-    def column(self, b: _Block, k: int) -> int:
-        """Token k's column."""
-        tok = b.toks[k]
+    def column(self, tok: str) -> int:
+        """The column of the token last read."""
         col = self.names.get(tok)
         if col is None:
             try:
                 ref = parse_var_name(tok)
             except ValueError:
-                raise b.error(f"unknown variable {tok!r}", k)
+                raise self.error(f"unknown variable {tok!r}")
             col = self.names[tok] = len(self.refs)
             self.refs.append(ref)
         return col
 
-    def bound_var(self, b: _Block, k: int, stop: int) -> int:
-        tok = b.token(k, stop)
-        col = self.column(b, k)
+    def bound_var(self, tok: str) -> int:
+        col = self.column(tok)
         if self.refs[col].kind != "e":
-            raise b.error(f"{tok} is binary and cannot be bounded", k)
+            raise self.error(f"{tok} is binary and cannot be bounded")
         return col
 
-    def expression(self, b: _Block, k: int, cols: array, coefs: array, final: bool) -> int:
-        """Append the columns and coefficients of the terms from token k on
-        to ``cols`` and ``coefs``, up to (not at) a sense token or the end
-        of the block, and return where they stop.  Unless the block is the
-        section's last, the signs and coefficient of a term whose variable
-        is still to come are left unread."""
-        toks, names = b.toks, self.names
+    def expression(self, tokens, cols: array, coefs: array) -> str | None:
+        """Append the columns and coefficients of the terms read from
+        ``tokens`` to ``cols`` and ``coefs``, up to a sense token, which is
+        returned, or the end of the section (None)."""
+        names, error = self.names, self.error
         add_col, add_coef = cols.append, coefs.append
-        start = k
         sign = 1.0
         coef: float | None = None
-        for k in range(k, len(toks)):
-            tok = toks[k]
+        for tok in tokens:
             col = names.get(tok)
             if col is None:  # not a known name: dispatch on the first character
                 first = tok[0]
@@ -350,175 +373,103 @@ class _Section:
                     break
                 if first == "+" or first == "-":
                     if coef is not None:
-                        raise b.error("dangling coefficient", k)
+                        raise error("dangling coefficient")
                     if first == "-":
                         sign = -sign
                     continue
                 if _is_number(tok):
                     if coef is not None:
-                        raise b.error("two coefficients in a row", k)
-                    coef = b.number(k)
-                    coef_at = k
+                        raise error("two coefficients in a row")
+                    coef = self.number(tok)
                     continue
                 if first == ":":
-                    raise b.error("unexpected ':'", k)
-                col = self.column(b, k)
+                    raise error("unexpected ':'")
+                col = self.column(tok)
             add_col(col)
             add_coef(sign if coef is None else sign * coef)
             sign = 1.0
             coef = None
         else:
-            k = len(toks)
-            if not final:
-                while k > start and toks[k - 1][0] in "+-0123456789.":
-                    k -= 1
-                return k
-        if coef is not None:
-            raise b.error("coefficient without a variable", coef_at)
-        return k
+            tok = None
+        if coef is not None:  # the token before the sense, or the last one
+            raise error("coefficient without a variable", self.mark(tok is not None))
+        return tok
 
+    def read_objective(self, tokens) -> None:
+        first = next(tokens, None)
+        if first is None:
+            return
+        head = (first,)
+        if self.peek() == ":":
+            if not _is_name(first):
+                raise self.error("malformed objective label")
+            next(tokens)
+            head = ()
+        if self.expression(chain(head, tokens), self.obj_cols, self.obj_coefs) is not None:
+            raise self.error("unexpected token after objective")
 
-class _Objective(_Section):
-    def __init__(self, names, refs):
-        super().__init__(names, refs)
-        self.cols = array("l")
-        self.coefs = array("d")
-        self.labelled = False  # whether the optional label has been looked for
+    def read_constraints(self, tokens) -> None:
+        rows, labels = self.rows, self.labels
+        for label in tokens:
+            at = self.mark()
+            if next(tokens, None) != ":":
+                raise self.error("expected 'label:' before constraint", at)
+            if not _is_name(label):
+                raise self.error("malformed constraint label", at)
+            if label in labels:
+                raise self.error(f"duplicate constraint label {label!r}", at)
+            labels.add(label)
+            sense = self.expression(tokens, rows.cols, rows.coefs)
+            if sense is None:
+                raise self.error("constraint missing its sense", at)
+            rhs = self.signed_number(tokens)
+            if len(rows.cols) == rows.starts[-1]:
+                raise self.error("constraint has no terms", at)
+            rows.end_row(label, _SENSES[sense], rhs)
 
-    def read(self, b: _Block, final: bool) -> int:
-        toks = b.toks
-        k = 0
-        if not self.labelled:
-            if len(toks) < 2 and not final:
-                return 0
-            self.labelled = True
-            if len(toks) > 1 and toks[1] == ":":
-                if not _is_name(toks[0]):
-                    raise b.error("malformed objective label", 0)
-                k = 2
-        k = self.expression(b, k, self.cols, self.coefs, final)
-        if k < len(toks) and toks[k] in _SENSES:
-            raise b.error("unexpected token after objective", k)
-        return k
-
-
-class _Constraints(_Section):
-    def __init__(self, names, refs):
-        super().__init__(names, refs)
-        self.rows = Rows(refs)  # each row's terms are appended as they are read
-        self.labels: set[str] = set()
-        # The row being read: its label, and the label's token index (or its
-        # (line, start, end) once the block has moved on).
-        self.row: tuple[str, int | tuple[int, int, int]] | None = None
-
-    def label_error(self, b: _Block, message: str) -> LpParseError:
-        _, at = self.row
-        line, col, _ = b.spans(at)[0] if isinstance(at, int) else at
-        return LpParseError(message, line, col)
-
-    def read(self, b: _Block, final: bool) -> int:
-        toks, rows = b.toks, self.rows
-        n = len(toks)
-        k = 0
-        while True:
-            if self.row is None:
-                if k == n or (k + 1 == n and not final):
-                    return k
-                if k + 1 == n or toks[k + 1] != ":":
-                    raise b.error("expected 'label:' before constraint", k)
-                label = toks[k]
-                if not _is_name(label):
-                    raise b.error("malformed constraint label", k)
-                if label in self.labels:
-                    raise b.error(f"duplicate constraint label {label!r}", k)
-                self.labels.add(label)
-                self.row = (label, k)
-                k += 2
-            label, at = self.row
-            k = self.expression(b, k, rows.cols, rows.coefs, final)
-            if k < n and toks[k] in _SENSES:
-                j = k + 1  # the right-hand side: signs, then a number
-                while j < n and toks[j] in ("+", "-"):
-                    j += 1
-                if j < n or final:
-                    rhs, stop = b.signed_number(k + 1, n)
-                    if len(rows.cols) == rows.starts[-1]:
-                        raise self.label_error(b, "constraint has no terms")
-                    rows.end_row(label, _SENSES[toks[k]], rhs)
-                    self.row = None
-                    k = stop
-                    continue
-            elif final:
-                raise self.label_error(b, "constraint missing its sense")
-            if isinstance(at, int):  # the row runs on into the next block
-                self.row = (label, b.spans(at)[0])
-            return k
-
-
-class _Bounds(_Section):
-    """Each line sets the side(s) of a variable's range it names; the
-    other side keeps its earlier value, by default (0, inf).  Keyed by
-    column."""
-
-    def __init__(self, names, refs):
-        super().__init__(names, refs)
-        self.bounds: dict[int, tuple[float, float]] = {}
-
-    def read(self, b: _Block, final: bool) -> int:
-        toks, bounds = b.toks, self.bounds
-        k = 0
-        while k < len(toks):
-            stop = bisect.bisect_right(b.nos, b.nos[k], k)  # this line's tokens
-            if _is_number(toks[k]) or toks[k] in ("+", "-"):
-                lo, k = b.signed_number(k, stop)
-                if _SENSES.get(b.token(k, stop)) != "<=":
-                    raise b.error("expected '<=' in bound", k)
-                col = self.bound_var(b, k + 1, stop)
-                if _SENSES.get(b.token(k + 2, stop)) != "<=":
-                    raise b.error("expected '<=' in bound", k + 2)
-                hi, k = b.signed_number(k + 3, stop)
+    def read_bounds(self, tokens) -> None:
+        """Each line sets the side(s) of a variable's range it names; the
+        other side keeps its earlier value, by default (0, inf)."""
+        bounds, take = self.bounds, self.take
+        for tok in tokens:
+            line = chain((tok,), self.it)  # this line's tokens
+            if _is_number(tok) or tok in ("+", "-"):
+                lo = self.signed_number(line)
+                if _SENSES.get(take(line)) != "<=":
+                    raise self.error("expected '<=' in bound")
+                col = self.bound_var(take(line))
+                if _SENSES.get(take(line)) != "<=":
+                    raise self.error("expected '<=' in bound")
+                hi = self.signed_number(line)
             else:
-                col = self.bound_var(b, k, stop)
+                col = self.bound_var(take(line))
                 lo, hi = bounds.get(col, (0.0, math.inf))
-                if k + 1 < stop and toks[k + 1].lower() == "free":
+                tok = take(line)
+                if tok.lower() == "free":
                     lo, hi = -math.inf, math.inf
-                    k += 2
                 else:
-                    sense = _SENSES.get(b.token(k + 1, stop))
+                    sense = _SENSES.get(tok)
                     if sense is None:
-                        raise b.error("malformed bound", k + 1)
-                    value, k = b.signed_number(k + 2, stop)
-                    if sense == "<=":
+                        raise self.error("malformed bound")
+                    value = self.signed_number(line)
+                    if sense in ("<=", "="):
                         hi = value
-                    elif sense == ">=":
+                    if sense in (">=", "="):
                         lo = value
-                    else:
-                        lo = hi = value
-            if k < stop:
-                raise b.error("unexpected token after bound", k)
+            if next(line, None) is not None:
+                raise self.error("unexpected token after bound")
             bounds[col] = (lo, hi)
-        return k
 
-
-class _Binaries(_Section):
-    """Bare names in declaration order, as columns: a name has one
-    spelling only, so one column per variable."""
-
-    def __init__(self, names, refs):
-        super().__init__(names, refs)
-        self.cols: list[int] = []
-        self.seen: set[int] = set()
-
-    def read(self, b: _Block, final: bool) -> int:
-        for k, tok in enumerate(b.toks):
-            col = self.column(b, k)
+    def read_binaries(self, tokens) -> None:
+        """Bare names, as columns: a name has one spelling only, so one
+        column per variable."""
+        for tok in tokens:
+            col = self.column(tok)
             if self.refs[col].kind == "e":
-                raise b.error(f"{tok} is continuous, not binary", k)
-            if col in self.seen:
-                raise b.error(f"duplicate binary {tok}", k)
-            self.seen.add(col)
-            self.cols.append(col)
-        return len(b.toks)
+                raise self.error(f"{tok} is continuous, not binary")
+            if col in self.binaries:
+                raise self.error(f"duplicate binary {tok}")
+            self.binaries[col] = None
 
 
 @gc_paused
@@ -529,88 +480,36 @@ def parse_lp(text: str) -> IlpModel:
     declarations missing from Bounds/Binaries get LP defaults (binary for
     the binary kinds, [0, inf) for energy variables).
     """
-    names: dict[str, int] = {}
-    refs: list[VarRef] = []
-    objective, constraints = _Objective(names, refs), _Constraints(names, refs)
-    bounds, binaries = _Bounds(names, refs), _Binaries(names, refs)
-    sections: dict[str, _Section] = {"objective": objective, "constraints": constraints,
-                                     "bounds": bounds, "binaries": binaries}
-    opened: set[str] = set()
-    current: _Section | None = None
-    ended = False
-    last = 0  # the number of lines read
-    for first, lines in _blocks(text):
-        codes: list[str] = []
-        linenos: list[int] = []
-        for lineno, raw in enumerate(lines, start=first):
-            code = raw.split("\\", 1)[0]  # comment to end of line
-            bare = code.strip()
-            if not bare:
-                continue
-            word = _SECTION_WORDS.get(bare.lower())
-            if word is not None:
-                if current is not None:
-                    current.feed(codes, linenos, final=True)
-                    codes, linenos = [], []
-                if word == "maximize":
-                    raise LpParseError("only minimization is supported", lineno, 1)
-                if word == "end":
-                    ended = True
-                    current = None
-                    continue
-                if ended:
-                    raise LpParseError("content after End", lineno, 1)
-                if word in opened:
-                    raise LpParseError(f"duplicate section {bare!r}", lineno, 1)
-                opened.add(word)
-                current = sections[word]
-                continue
-            if ended:
-                raise LpParseError("content after End", lineno, 1)
-            if current is None:
-                raise LpParseError("content before Minimize", lineno, 1)
-            codes.append(code)
-            linenos.append(lineno)
-        if codes:
-            current.feed(codes, linenos, final=False)
-        last = first + len(lines) - 1
-    if current is not None:
-        current.feed([], [], final=True)
-    if not ended:
-        raise LpParseError("missing End", last + 1, 1)
-    if "objective" not in opened:
-        raise LpParseError("missing Minimize section", last + 1, 1)
-    for section in sections.values():  # the first section's row error wins
-        if section.failure is not None:
-            raise section.failure
+    p = _Parser(text)
+    p.read()
 
     # The variable list: declared binaries, declared continuous, then
     # anything referenced but never declared, in order of first appearance
     # in the objective and then the constraints.  The rows' columns are then
     # renumbered to index it, once the name table and the labels are freed.
-    names.clear()
-    constraints.labels.clear()
-    order = binaries.cols + list(bounds.bounds)
+    p.names.clear()
+    p.labels.clear()
+    refs, bounds, rows = p.refs, p.bounds, p.rows
+    order = [*p.binaries, *bounds]
     if len(refs) > len(order):
         declared = bytearray(len(refs))
         for col in order:
             declared[col] = 1
-        for col in chain(objective.cols, constraints.rows.cols):
+        for col in chain(p.obj_cols, rows.cols):
             if not declared[col]:
                 declared[col] = 1
                 order.append(col)
                 if refs[col].kind == "e":
-                    bounds.bounds[col] = (0.0, math.inf)
+                    bounds[col] = (0.0, math.inf)
     renumber = array("l", (0,)) * len(refs)
     for k, col in enumerate(order):
         renumber[col] = k
-    rows = constraints.rows
     rows.columns = variables = tuple(refs[col] for col in order)
     rows.cols = array("l", map(renumber.__getitem__, rows.cols))
 
     return IlpModel(
         variables=variables,
-        objective=tuple(zip(map(refs.__getitem__, objective.cols), objective.coefs)),
+        objective=tuple(zip(map(refs.__getitem__, p.obj_cols), p.obj_coefs)),
         constraints=rows,
-        bounds=tuple((refs[col], lo, hi) for col, (lo, hi) in bounds.bounds.items()),
+        bounds=tuple((refs[col], lo, hi) for col, (lo, hi) in bounds.items()),
     )

@@ -241,12 +241,30 @@ def test_exact_meaningless_limit_exits_2(tmp_path, capsys, flag, value, needle):
     assert not sol_path.exists()
 
 
+def _printed_objective(out):
+    return next(float(line.split(": ")[1]) for line in out.splitlines()
+                if line.startswith("objective: "))
+
+
 def test_oracle_solve_small(tmp_path, capsys):
-    inst_path = _gen_small(tmp_path, extra=("--radius", "3", "--rate", "2"))
+    # Two sensors over two demand points: 8 free binaries (2 x, 4 z, 2 r),
+    # so the oracle enumerates 2^8 assignments, and the optimum routes a
+    # stream to the sink, node 2.
+    inst_path = _gen_small(tmp_path, extra=("--sensor-grid", "1", "2", "--dp-grid", "1", "2",
+                                            "--radius", "3", "--rate", "2"))
     sol_path = tmp_path / "sol.json"
     assert main(["solve", "--instance", str(inst_path), "--method", "oracle",
                  "--out", str(sol_path), "--oracle-cap", "64"]) == 0
-    assert "method: oracle" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "method: oracle" in out
+    assert any(name.startswith("z_") and "_j2_" in name
+               for name in json.loads(sol_path.read_text())["values"])
+    # A certified exact solve (exit 0) finds the same optimum.
+    assert main(["solve", "--instance", str(inst_path), "--method", "exact",
+                 "--out", str(tmp_path / "exact.json")]) == 0
+    exact = capsys.readouterr().out
+    assert "certificate: optimal" in exact
+    assert _printed_objective(out) == _printed_objective(exact)
 
 
 def test_oracle_cap_exits_2(tmp_path, capsys):

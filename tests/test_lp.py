@@ -289,10 +289,10 @@ def test_export_formats_equal_refs_alike():
     assert w.export_lp(_hand_model(fresh=True)) == expected
 
 
-def test_parse_holds_one_block_at_a_time():
-    # A 3x3 grid over two periods: 5 302 lines, six blocks.  Reading the
-    # whole text at once held 3.2 MB above the model it returns (tracemalloc,
-    # Python 3.11); block by block it holds 1.2 MB.
+def test_parse_transient_memory_above_model():
+    # A 3x3 grid over two periods: 5 302 lines.  Read line by line, the
+    # parse holds at its peak 0.6 MB above the model it returns (tracemalloc,
+    # Python 3.11); holding a whole section's tokens at once reads 3.4 MB.
     inst = w.gen_grid(3, 3, 3, 3, (10.0, 10.0), w.ScenarioConfig(periods=2))
     text = w.export_lp(w.build_model(inst, w.build_arcs(inst)))
     gc.collect()

@@ -1,11 +1,12 @@
 """Differential test: the LP parser against its frozen token-object version.
 
 ``reference_lp`` scans every token into an object and parses with
-``peek``/``next``.  The package reads a block of lines at a time, keeps its
-tokens as a flat list, carries a row's unread tokens into the next block
-and recomputes a column only for an error.  That must change the work and
-nothing else: every accepted file gives an equal model, and every rejected
-one the same message, line and column, whatever the block size.
+``peek``/``next``.  The package reads the text once, line by line: each
+section's parser pulls plain token strings from a stream that splits one
+line at a time, and a column is recomputed only for an error.  That must
+change the work and nothing else: every accepted file gives an equal model,
+and every rejected one the same message, line and column, however the text
+is cut into blocks of lines.
 """
 
 import random
@@ -114,16 +115,16 @@ def test_mutants_agree_with_reference():
 
 @pytest.mark.parametrize("lines", [1, 2])
 def test_block_boundaries_change_nothing(lines, monkeypatch):
-    # With blocks of one or two lines, every row that spans lines crosses a
-    # block boundary, and so do its label, its terms and its right-hand side.
-    # Export joins its lines in blocks of as many, and writes the same text.
+    # Blocks only cut the text into lines for the parser, and no parse state
+    # crosses a line, so with blocks of one or two lines the models still
+    # parse equal to the reference.  Export joins its lines in blocks of as
+    # many, and writes the same text.
     models = {name: _model(name) for name in NAMES}
     texts = {name: w.export_lp(model) for name, model in models.items()}
     monkeypatch.setattr(lp, "_BLOCK_LINES", lines)
     for name in NAMES:
         assert w.export_lp(models[name]) == texts[name], name
         test_models_equal_reference(name)
-    test_mutants_agree_with_reference()
 
 
 # Rows broken where export never breaks them: after a label, before its
@@ -140,3 +141,30 @@ def test_rows_broken_at_any_token_agree(lines, monkeypatch):
     for ending in _ENDINGS:
         text = _BROKEN + ending
         assert _outcome(w.parse_lp, text) == _outcome(ref.parse_lp, text), text
+
+
+# Files with two errors.  A section or character error anywhere comes
+# first; after that, the first row error of the objective, then of the
+# constraints, the bounds and the binaries, wherever the sections stand.
+_HEAD = "Minimize\n obj: e_i0\nSubject To\n c: e_i0 <= <= 1\n"
+_TWO_ERRORS = {
+    "row_then_character": _HEAD + "Bounds\n e_i0 <= $1\nEnd\n",
+    "row_then_content_after_end": _HEAD + "End\n e_i0\n",
+    "row_then_duplicate_section": _HEAD + "Bounds\n e_i0 <= 1\nSubject To\n d: e_i0 <= 1\nEnd\n",
+    "row_then_missing_end": _HEAD + "Bounds\n e_i0 <= 1\n",
+    "bounds_before_constraints": "Minimize\n obj: e_i0\nBounds\n y_i0_t0 <= 1\n"
+                                 "Subject To\n c: e_i0 <= <= 1\nEnd\n",
+    "objective_then_binaries": "Minimize\n obj: 2 3 e_i0\nSubject To\n c: e_i0 <= 1\n"
+                               "Binaries\n e_i0\nEnd\n",
+    "binaries_before_objective": "Binaries\n e_i0\nMinimize\n obj: 2 3 e_i0\nEnd\n",
+    "duplicate_label_then_binaries": "Minimize\n obj: e_i0\nSubject To\n c: e_i0 <= 1\n"
+                                     " c: e_i0 >= 0\nBinaries\n y_i0_t0 y_i0_t0\nEnd\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_ERRORS))
+def test_error_precedence_agrees(name):
+    text = _TWO_ERRORS[name]
+    got = _outcome(w.parse_lp, text)
+    assert got[0] == "error"
+    assert got == _outcome(ref.parse_lp, text)
