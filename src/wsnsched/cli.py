@@ -14,7 +14,6 @@ from dataclasses import replace
 from .instance import (
     Phenomenon,
     Point2D,
-    TransmitModel,
     build_arcs,
     load_instance,
     save_instance,
@@ -28,7 +27,6 @@ from .model import MAX_VARIABLES  # noqa: F401  (the cap _load applies, importab
 from .model import build_model, check_model_size, model_stats
 from .report import load_spec, run_experiment, save_rows, save_views
 from .solve import (
-    OracleCapExceeded,
     SolveConfig,
     brute_force_oracle,
     load_external_solution,
@@ -39,7 +37,6 @@ from .solve import (
 )
 from .validate import (
     InfeasibleSolutionError,
-    SolutionIndexError,
     evaluate,
     violations_to_json,
 )
@@ -87,8 +84,25 @@ def _add_common_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+# The scalar overrides, as (flag dest, field) pairs of the object they set.
+_SCENARIO_FLAGS = (("period_length", "period_length"), ("comm_radius", "comm_radius"),
+                   ("penalty_uncovered", "penalty_uncovered"),
+                   ("penalty_activation", "penalty_activation"),
+                   ("drop_fraction", "demand_drop_fraction"), ("grid_margin", "grid_margin"))
+_DEVICE_FLAGS = (("battery", "battery_capacity"), ("activation_energy", "activation_energy"),
+                 ("maintenance_energy", "maintenance_energy"),
+                 ("receive_per_bit", "receive_energy_per_bit"), ("bit_rate", "bit_rate"))
+_TRANSMIT_FLAGS = (("transmit_base", "base"), ("transmit_distance_coef", "distance_coef"))
+
+
+def _overrides(args, flags) -> dict:
+    """``{field: value}`` for each of ``flags`` given on the command line."""
+    return {name: getattr(args, dest) for dest, name in flags
+            if getattr(args, dest, None) is not None}
+
+
 def _config_from_args(args):
-    cfg, layout = scenario_config(args.scenario, periods=args.periods, seed=args.seed)
+    cfg, layout = scenario_config(args.scenario, periods=args.periods)
     if args.radius is not None or args.rate is not None or args.bits is not None:
         radii = args.radius if args.radius is not None else [
             ph.coverage_radius for ph in cfg.phenomena]
@@ -102,10 +116,6 @@ def _config_from_args(args):
                        bits_per_sample=bits)
             for k in range(len(radii))
         ))
-    if args.period_length is not None:
-        cfg = replace(cfg, period_length=args.period_length)
-    if args.comm_radius is not None:
-        cfg = replace(cfg, comm_radius=args.comm_radius)
     if args.sinks == "coords" and not args.sink_at:
         raise ValueError("--sinks coords requires at least one --sink-at")
     if args.sink_at:
@@ -114,60 +124,28 @@ def _config_from_args(args):
     elif args.sinks is not None:
         cfg = replace(cfg, sink_mode=args.sinks)
     device = cfg.device
-    if args.battery is not None:
-        device = replace(device, battery_capacity=args.battery)
-    if args.activation_energy is not None:
-        device = replace(device, activation_energy=args.activation_energy)
-    if args.maintenance_energy is not None:
-        device = replace(device, maintenance_energy=args.maintenance_energy)
-    if args.receive_per_bit is not None:
-        device = replace(device, receive_energy_per_bit=args.receive_per_bit)
-    if args.transmit_base is not None or args.transmit_distance_coef is not None:
-        tx = device.transmit
-        device = replace(device, transmit=TransmitModel(
-            base=args.transmit_base if args.transmit_base is not None else tx.base,
-            distance_coef=(args.transmit_distance_coef
-                           if args.transmit_distance_coef is not None
-                           else tx.distance_coef),
-        ))
-    if args.bit_rate is not None:
-        device = replace(device, bit_rate=args.bit_rate)
-    if device is not cfg.device:
-        cfg = replace(cfg, device=device)
-    if args.penalty_uncovered is not None:
-        cfg = replace(cfg, penalty_uncovered=args.penalty_uncovered)
-    if args.penalty_activation is not None:
-        cfg = replace(cfg, penalty_activation=args.penalty_activation)
-    if args.drop_fraction is not None:
-        cfg = replace(cfg, demand_drop_fraction=args.drop_fraction)
-    if getattr(args, "grid_margin", None) is not None:
-        cfg = replace(cfg, grid_margin=args.grid_margin)
-    return cfg, layout
+    transmit = replace(device.transmit, **_overrides(args, _TRANSMIT_FLAGS))
+    device = replace(device, transmit=transmit, **_overrides(args, _DEVICE_FLAGS))
+    return replace(cfg, device=device, **_overrides(args, _SCENARIO_FLAGS)), layout
 
 
-def _cmd_gen_grid(args) -> int:
+def _cmd_gen(args) -> int:
     cfg, layout = _config_from_args(args)
     area = tuple(args.area) if args.area else layout["area"]
-    sr, sc = args.sensor_grid if args.sensor_grid else layout["sensor_grid"]
-    dr, dc = args.dp_grid if args.dp_grid else layout["dp_grid"]
-    instance = gen_grid(sr, sc, dr, dc, area, cfg)
+    if args.layout == "grid":
+        sr, sc = args.sensor_grid or layout["sensor_grid"]
+        dr, dc = args.dp_grid or layout["dp_grid"]
+        instance = gen_grid(sr, sc, dr, dc, area, cfg, seed=args.seed)
+        suffix = ""
+    else:
+        n_sensors = args.sensors if args.sensors is not None else layout["n_sensors"]
+        n_dp = (args.demand_points if args.demand_points is not None
+                else layout["n_demand_points"])
+        instance = gen_random(n_sensors, n_dp, area, args.seed, cfg)
+        suffix = f", seed={args.seed}"
     save_instance(instance, args.out)
     print(f"wrote {args.out}: {len(instance.sensors)} sensors, "
-          f"{len(instance.demand_points)} demand points, T={instance.periods}")
-    return 0
-
-
-def _cmd_gen_random(args) -> int:
-    cfg, layout = _config_from_args(args)
-    area = tuple(args.area) if args.area else layout["area"]
-    n_sensors = args.sensors if args.sensors is not None else layout["n_sensors"]
-    n_dp = (args.demand_points if args.demand_points is not None
-            else layout["n_demand_points"])
-    instance = gen_random(n_sensors, n_dp, area, args.seed, cfg)
-    save_instance(instance, args.out)
-    print(f"wrote {args.out}: {len(instance.sensors)} sensors, "
-          f"{len(instance.demand_points)} demand points, T={instance.periods}, "
-          f"seed={args.seed}")
+          f"{len(instance.demand_points)} demand points, T={instance.periods}{suffix}")
     return 0
 
 
@@ -198,11 +176,7 @@ def _cmd_solve(args) -> int:
     elif args.method == "heuristic":
         solution = solve_heuristic(instance, arcs)
     else:
-        try:
-            solution = brute_force_oracle(instance, arcs, cap=args.oracle_cap)
-        except OracleCapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        solution = brute_force_oracle(instance, arcs, cap=args.oracle_cap)
     try:
         metrics = evaluate(instance, solution, arcs)
     except InfeasibleSolutionError as exc:
@@ -236,9 +210,6 @@ def _cmd_validate(args) -> int:
     violations = []
     try:
         metrics = evaluate(instance, solution, arcs)
-    except SolutionIndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleSolutionError as exc:
         violations = exc.violations
     if args.report:
@@ -295,12 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--dp-grid", nargs=2, type=int, metavar=("ROWS", "COLS"))
     grid.add_argument("--grid-margin", type=float, dest="grid_margin")
     _add_common_gen_flags(grid)
-    grid.set_defaults(func=_cmd_gen_grid)
+    grid.set_defaults(func=_cmd_gen)
     rand = gen_sub.add_parser("random", help="uniform random positions")
     rand.add_argument("--sensors", type=int)
     rand.add_argument("--demand-points", type=int, dest="demand_points")
     _add_common_gen_flags(rand)
-    rand.set_defaults(func=_cmd_gen_random)
+    rand.set_defaults(func=_cmd_gen)
 
     build = sub.add_parser("build", help="write the ILP as LP text")
     build.add_argument("--instance", required=True)

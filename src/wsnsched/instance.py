@@ -4,7 +4,8 @@ An :class:`Instance` bundles the geometry (sensor, demand-point and sink
 positions), the phenomena being sensed, the device energy profile and the
 penalty weights.  Instances are immutable; generators are pure functions of
 their parameters and seed, so the same call always yields the same instance
-byte for byte.
+byte for byte.  Each generator takes the layout seed as an argument and
+records it in the instance; a :class:`ScenarioConfig` holds none.
 
 All lengths are in meters, all times in minutes, and energy is in abstract
 units fixed by the device profile.
@@ -414,7 +415,8 @@ class EnergyTables:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Tunable knobs shared by the instance generators."""
+    """Tunable knobs shared by the instance generators.  The layout seed is
+    not one of them: :func:`gen_grid` and :func:`gen_random` take it."""
 
     phenomena: tuple[Phenomenon, ...] = field(default_factory=default_phenomena)
     comm_radius: float = DEFAULT_COMM_RADIUS
@@ -427,7 +429,6 @@ class ScenarioConfig:
     penalty_activation: float = DEFAULT_PENALTY_ACTIVATION
     demand_drop_fraction: float = 0.0
     grid_margin: float = 0.0
-    seed: int = 0
 
 
 def _make_sinks(config: ScenarioConfig, area: tuple[float, float]) -> tuple[Point2D, ...]:
@@ -507,11 +508,14 @@ def gen_grid(
     dp_cols: int,
     area: tuple[float, float] = (10.0, 10.0),
     config: ScenarioConfig | None = None,
+    *,
+    seed: int = 0,
 ) -> Instance:
     """Regular lattices of sensors and demand points.
 
     With the default zero margin the lattice spans the full area, corners
     included; a single row or column collapses to the center line.
+    ``seed`` draws only the demand drop, and is recorded in the instance.
     """
     import numpy as np
 
@@ -524,8 +528,8 @@ def gen_grid(
     dpp = [
         Point2D(x, y) for y in _lattice(dp_rows, h, m) for x in _lattice(dp_cols, w, m)
     ]
-    rng = np.random.default_rng(config.seed)
-    return _finish((float(w), float(h)), sensors, dpp, config, config.seed, rng)
+    rng = np.random.default_rng(seed)
+    return _finish((float(w), float(h)), sensors, dpp, config, seed, rng)
 
 
 def gen_random(
@@ -558,7 +562,7 @@ def bench_phenomena() -> tuple[Phenomenon, ...]:
     )
 
 
-def scenario_config(name: str, periods: int = 1, seed: int = 0) -> tuple[ScenarioConfig, dict]:
+def scenario_config(name: str, periods: int = 1) -> tuple[ScenarioConfig, dict]:
     """Named parameter presets.
 
     ``default``   small-radius phenomena on a 10 x 10 area, center sink.
@@ -568,15 +572,16 @@ def scenario_config(name: str, periods: int = 1, seed: int = 0) -> tuple[Scenari
                   communication radius 7, four corner sinks.
 
     Returns the config plus a layout dict with suggested counts and area.
+    The layout seed is not part of either; pass it to the generator.
     """
     if name == "default":
-        cfg = ScenarioConfig(periods=periods, seed=seed)
+        cfg = ScenarioConfig(periods=periods)
         layout = {"area": (10.0, 10.0), "sensor_grid": (4, 4), "dp_grid": (10, 10),
                   "n_sensors": 16, "n_demand_points": 100}
     elif name == "bench1":
         cfg = ScenarioConfig(
             phenomena=bench_phenomena(), comm_radius=11.0, periods=periods,
-            sink_mode="center", seed=seed,
+            sink_mode="center",
         )
         layout = {"area": (10.0, 10.0), "sensor_grid": (4, 4), "dp_grid": (10, 10),
                   "n_sensors": 16, "n_demand_points": 100}
@@ -586,7 +591,7 @@ def scenario_config(name: str, periods: int = 1, seed: int = 0) -> tuple[Scenari
                 Phenomenon(id=0, coverage_radius=5.0, sampling_rate=2.0, bits_per_sample=16),
                 Phenomenon(id=1, coverage_radius=8.0, sampling_rate=1.0, bits_per_sample=16),
             ),
-            comm_radius=7.0, periods=periods, sink_mode="corners", seed=seed,
+            comm_radius=7.0, periods=periods, sink_mode="corners",
         )
         layout = {"area": (20.0, 20.0), "sensor_grid": (6, 6), "dp_grid": (10, 10),
                   "n_sensors": 36, "n_demand_points": 100}
@@ -597,11 +602,11 @@ def scenario_config(name: str, periods: int = 1, seed: int = 0) -> tuple[Scenari
 
 def scenario_instance(name: str, kind: str = "grid", periods: int = 1, seed: int = 0) -> Instance:
     """Instantiate a named scenario as a grid or random layout."""
-    cfg, layout = scenario_config(name, periods=periods, seed=seed)
+    cfg, layout = scenario_config(name, periods=periods)
     if kind == "grid":
         sr, sc = layout["sensor_grid"]
         dr, dc = layout["dp_grid"]
-        return gen_grid(sr, sc, dr, dc, layout["area"], cfg)
+        return gen_grid(sr, sc, dr, dc, layout["area"], cfg, seed=seed)
     if kind == "random":
         return gen_random(layout["n_sensors"], layout["n_demand_points"],
                           layout["area"], seed, cfg)

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,54 @@ def test_gen_random_honors_counts(tmp_path, capsys):
     assert "5 sensors, 7 demand points" in capsys.readouterr().out
     inst = w.load_instance(path)
     assert len(inst.sensors) == 5 and len(inst.demand_points) == 7
+
+
+def _with(obj, path, value):
+    """``obj`` with the (dotted) field ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value) if rest else value})
+
+
+# Each override flag, its argument, and the config fields it sets.
+_OVERRIDES = [
+    (["--period-length", "30"], {"period_length": 30.0}),
+    (["--comm-radius", "9.5"], {"comm_radius": 9.5}),
+    (["--battery", "9"], {"device.battery_capacity": 9.0}),
+    (["--activation-energy", "0.3"], {"device.activation_energy": 0.3}),
+    (["--maintenance-energy", "0.7"], {"device.maintenance_energy": 0.7}),
+    (["--receive-per-bit", "2e-4"], {"device.receive_energy_per_bit": 2e-4}),
+    (["--transmit-base", "3e-4"], {"device.transmit.base": 3e-4}),
+    (["--transmit-distance-coef", "1e-6"], {"device.transmit.distance_coef": 1e-6}),
+    (["--bit-rate", "1e5"], {"device.bit_rate": 1e5}),
+    (["--penalty-uncovered", "1e6"], {"penalty_uncovered": 1e6}),
+    (["--penalty-activation", "0.5"], {"penalty_activation": 0.5}),
+    (["--drop-fraction", "0.4"], {"demand_drop_fraction": 0.4}),
+    (["--grid-margin", "1.5"], {"grid_margin": 1.5}),
+    (["--sink-at", "1", "2", "--sink-at", "3", "4"],
+     {"sink_mode": "coords", "sink_coords": (w.Point2D(1.0, 2.0), w.Point2D(3.0, 4.0))}),
+]
+
+
+@pytest.mark.parametrize("layout, flags, fields", [
+    pytest.param(layout, flags, fields, id=f"{layout}{flags[0]}")
+    for layout in ("grid", "random") for flags, fields in _OVERRIDES
+    if layout == "grid" or flags[0] != "--grid-margin"])
+def test_override_flag_sets_its_config_field(tmp_path, layout, flags, fields):
+    path = tmp_path / "inst.json"
+    preset = ["--scenario", "bench2", "--periods", "2", "--seed", "3"]
+    assert main(["gen", layout, "--out", str(path), *preset, *flags]) == 0
+    cfg, lay = w.scenario_config("bench2", periods=2)
+    for field, value in fields.items():
+        cfg = _with(cfg, field, value)
+    if layout == "grid":
+        expected = w.gen_grid(*lay["sensor_grid"], *lay["dp_grid"], lay["area"], cfg, seed=3)
+        plain = w.scenario_instance("bench2", "grid", periods=2, seed=3)
+    else:
+        expected = w.gen_random(lay["n_sensors"], lay["n_demand_points"], lay["area"], 3, cfg)
+        plain = w.scenario_instance("bench2", "random", periods=2, seed=3)
+    written = w.load_instance(path)
+    assert written == expected
+    assert written != plain
 
 
 def test_missing_required_flag_exits_2(capsys):
@@ -275,6 +324,22 @@ def test_oracle_cap_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "sol.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oracle_cap_exits_2_with_its_message_and_no_file(tmp_path, capsys):
+    inst_path = _gen_small(tmp_path)
+    capsys.readouterr()
+    instance = w.load_instance(inst_path)
+    binaries = sum(1 for ref in w.variable_universe(instance, w.build_arcs(instance))
+                   if ref.kind != "e")
+    sol_path = tmp_path / "sol.json"
+    rc = main(["solve", "--instance", str(inst_path), "--method", "oracle",
+               "--out", str(sol_path), "--oracle-cap", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: instance has {binaries} binary variables, oracle cap is 1\n"
+    assert captured.out == ""
+    assert not sol_path.exists()
 
 
 def test_validate_flags_violations(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Geometry, generators, energy arithmetic and the instance file format."""
 
 import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,46 @@ def test_demand_drop_fraction():
     assert sizes == {1, 2}  # never empty, not all full at 40 points
     for dp in inst.demand_points:
         assert set(dp.demands) <= {0, 1}
+
+
+def test_the_seed_is_a_generator_argument_not_a_config_field():
+    with pytest.raises(TypeError):
+        w.ScenarioConfig(seed=1)
+    with pytest.raises(TypeError):
+        w.scenario_config("default", seed=1)
+    with pytest.raises(TypeError):  # keyword-only
+        w.gen_grid(2, 2, 4, 4, (10.0, 10.0), None, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_grid_seed_draws_the_drop_and_is_recorded(tmp_path, seed):
+    cfg = w.ScenarioConfig(demand_drop_fraction=0.5)
+    inst = w.gen_grid(2, 2, 4, 4, config=cfg, seed=seed)
+    assert inst.seed == seed
+    assert inst != w.gen_grid(2, 2, 4, 4, config=cfg, seed=seed + 1)
+    path = tmp_path / "grid.json"
+    assert main(["gen", "grid", "--out", str(path), "--sensor-grid", "2", "2",
+                 "--dp-grid", "4", "4", "--drop-fraction", "0.5", "--seed", str(seed)]) == 0
+    assert w.load_instance(path) == inst
+
+
+def _instance_key(instance) -> str:
+    text = json.dumps(w.instance_to_json(instance), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reference_optima_keys_are_the_pool_layouts():
+    # The benchmark looks its reference optima up by this content key, so
+    # a generator that writes anything else for a pool layout loses them.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference_optima.json"
+    optima = json.loads(path.read_text())["optima"]
+    by_label = {f"{name}-{kind}-T{periods}-s{seed}": (name, kind, periods, seed)
+                for name, kind, periods, seed in POOL_LAYOUTS}
+    assert len(optima) >= 9
+    for key, entry in optima.items():
+        name, kind, periods, seed = by_label[entry["label"]]
+        inst = w.scenario_instance(name, kind=kind, periods=periods, seed=seed)
+        assert _instance_key(inst) == key, entry["label"]
 
 
 # -- arcs ---------------------------------------------------------------------
