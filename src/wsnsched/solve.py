@@ -8,7 +8,8 @@ Three methods with very different trust stories:
 * :func:`solve_exact` is a depth-first branch-and-bound over the sensing
   decisions; each sensed stream is then routed by choosing among that
   commodity's simple paths to a sink.  Returns a certificate flag that is
-  True only when the schedule is proven optimal (see :func:`solve_exact`).
+  True only when the schedule is proven optimal (see :func:`solve_exact`);
+  without one, the schedule is never worse than the heuristic's.
 * :func:`solve_heuristic` is a greedy weighted set cover per period and
   phenomenon with shortest-path routing and running battery accounting.
   Each round prices every candidate with one backward search from the
@@ -27,7 +28,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .instance import ArcSets, Instance, arcs_for
 from .model import VarRef, parse_var_name, variable_universe
@@ -105,11 +106,15 @@ class _Structures:
         self.G = len(instance.phenomena)
         self.out_arcs = arcs.out_arcs
         self.in_arcs = arcs.in_arcs
-        # Demanded points only: sensing a point nobody asked about never helps.
+        # Per (sensor, phenomenon): every point it covers, as its x
+        # variables do, and the demanded ones only, which the solvers aim
+        # at: sensing a point nobody asked about never helps.
+        self.coverage: dict[tuple[int, int], list[int]] = {}
         self.sensor_cover: dict[tuple[int, int], list[int]] = {}
         for g in range(self.G):
             demanded = set(instance.demand_indices(g))
             for (i, j) in arcs.coverage[g]:
+                self.coverage.setdefault((i, g), []).append(j)
                 if j in demanded:
                     self.sensor_cover.setdefault((i, g), []).append(j)
         self.demanded = [
@@ -280,6 +285,10 @@ class _ExactSearch:
     open demand triples.  Sensing a triple closes the open triples it
     covers and pushes them on a stack; undoing it pops them, puts each
     back in order and restores the counts, as in Knuth's dancing links.
+    One pass over a node's open triples prices both its children: the
+    0-child's exact bound, handed down, and a lower bound for the 1-child
+    from the node's own counts, which prunes that child before sensing is
+    applied; a 1-child that survives computes its exact bound itself.
     The prune cutoff is priced once per incumbent, and the routing phase
     keeps its period-0 activity count and its suffix sums of route lower
     bounds instead of recounting them at every node.
@@ -372,12 +381,15 @@ class _ExactSearch:
 
     # -- sensing phase --
 
-    def _branch_r(self, d: int, commit: float, on: int, on0: int):
+    def _branch_r(self, d: int, commit: float, on: int, on0: int, bound=None):
         """Node at depth d: ``commit`` is the decided-1 triples' sensing
         cost, summed in decision order; ``on`` and ``on0`` count the
-        active (sensor, period) pairs, in all periods and in period 0."""
+        active (sensor, period) pairs, in all periods and in period 0.
+        ``bound`` is the node's sensing bound when its parent priced it."""
         self._tick()
-        if self._bound_r(d, commit, on, on0) >= self.cutoff:
+        if bound is None:
+            bound = self._bound_r(d, commit, on, on0)
+        if bound >= self.cutoff:
             return
         if d == len(self.r_list):
             self._start_routing(on0)
@@ -385,20 +397,56 @@ class _ExactSearch:
         key = self.r_list[d]
         i, t, _ = key
         cost = self.sense_cost[d]
+        fresh = (i, t) not in self.on_pairs
+        one = (commit + cost, on + fresh, on0 + (fresh and t == 0))
+        bound0, low1 = self._price_children(d, commit, on, on0, one)
         if not math.isinf(cost):  # sensing with no route to any sink is infeasible
-            self.r_val[key] = 1
-            fresh = (i, t) not in self.on_pairs
-            if fresh:
-                self.on_pairs.add((i, t))
-            self._cover(d, 1)
-            self._branch_r(d + 1, commit + cost, on + fresh, on0 + (fresh and t == 0))
-            self._cover(d, -1)
-            if fresh:
-                self.on_pairs.discard((i, t))
-            del self.r_val[key]
+            if low1 >= self.cutoff:
+                self._tick()  # the 1-child, pruned without being built
+            else:
+                self.r_val[key] = 1
+                if fresh:
+                    self.on_pairs.add((i, t))
+                self._cover(d, 1)
+                self._branch_r(d + 1, *one)
+                self._cover(d, -1)
+                if fresh:
+                    self.on_pairs.discard((i, t))
+                del self.r_val[key]
         self.r_val[key] = 0
-        self._branch_r(d + 1, commit, on, on0)
+        self._branch_r(d + 1, commit, on, on0, bound0)
         del self.r_val[key]
+
+    def _price_children(self, d: int, commit: float, on: int, on0: int, one):
+        """Price both children of a node at depth d in one pass over its
+        open demand triples; ``one`` holds the 1-child's (commit, on, on0).
+
+        Returns the 0-child's bound, exactly as :meth:`_bound_r` computes
+        it there, and a lower bound on the 1-child's.  A triple's cheapest
+        share is the same for both children up to the 1-child's open
+        counts, which are at most the node's; a smaller count only raises
+        a share.  So the 1-child's sum, over the triples that r_list[d]
+        leaves open and from its own base, adds terms no larger than its
+        bound adds, in the same order, and cannot exceed that bound.
+        """
+        bound0 = commit + self.em * on + self.ea * on0
+        c1, n1, n10 = one
+        low1 = c1 + self.em * n1 + self.ea * n10
+        open_count, cost, coverers, eh = self.open_count, self.sense_cost, self.coverers, self.eh
+        for q in self.open:
+            cheapest = eh
+            mine = False
+            for p in coverers[q]:
+                if p <= d:
+                    mine = p == d  # sensing r_list[d] covers q
+                    break  # this coverer and the rest are decided
+                share = cost[p] / open_count[p]
+                if share < cheapest:
+                    cheapest = share
+            bound0 += cheapest
+            if not mine:
+                low1 += cheapest
+        return bound0, low1
 
     def _cover(self, d: int, step: int):
         """Sense (step 1) or undo sensing (step -1) r_list[d].  Sensing
@@ -537,13 +585,23 @@ def solve_exact(
     when activation energy exceeds maintenance energy and there are at
     least three periods, where a sensor kept on through an idle period can
     save a switch-on, which the search does not explore.
+
+    Without a certificate the greedy schedule of :func:`solve_heuristic`
+    is assembled too, and returned (as provenance "exact") when its
+    objective is strictly lower than the search's best; so such a run is
+    never worse than the heuristic.  A certified run never runs the greedy.
     """
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
     r_set = {key for key, val in search.best_r.items() if val}
-    return _assemble(search.s, r_set, search.best_flows, "exact", t0), certificate
+    solution = _assemble(search.s, r_set, search.best_flows, "exact", t0)
+    if not certificate:
+        greedy = _assemble(search.s, *_greedy(search.s), "exact", t0)
+        if greedy.objective < solution.objective:
+            solution = greedy
+    return replace(solution, wall_time_s=time.perf_counter() - t0), certificate
 
 
 # -- exhaustive oracle -----------------------------------------------------------
@@ -774,7 +832,12 @@ def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     s = _Structures(instance, arcs)
-    tb = s.tables
+    return _assemble(s, *_greedy(s), "heuristic", t0)
+
+
+def _greedy(s: _Structures):
+    """The schedule :func:`solve_heuristic` describes, as (r_set, flows)."""
+    instance, tb = s.instance, s.tables
     n, T, G = s.n, s.T, s.G
 
     residual = [tb.eb] * n
@@ -864,8 +927,7 @@ def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution
                     residual[v] -= delta
                 for j in newly:
                     open_points.discard(j)
-
-    return _assemble(s, r_set, flows, "heuristic", t0)
+    return r_set, flows
 
 
 # -- schedule assembly ------------------------------------------------------------
@@ -884,14 +946,13 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
     n, T = s.n, s.T
     values = {}
     y = [[False] * T for _ in range(n)]
+    covered = set()  # (j, t, g) with some x set
     for (i, t, g) in r_set:
         values[VarRef("r", (i, t, g))] = 1
         y[i][t] = True
-    for g in range(s.G):
-        for (i, j) in s.arcs.coverage[g]:
-            for t in range(T):
-                if (i, t, g) in r_set:
-                    values[VarRef("x", (i, j, t, g))] = 1
+        for j in s.coverage.get((i, g), ()):
+            values[VarRef("x", (i, j, t, g))] = 1
+            covered.add((j, t, g))
     for (l, t, g), path in flows.items():
         for (a, b) in path:
             values[VarRef("z", (l, a, b, t, g))] = 1
@@ -920,9 +981,9 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
         if energy[i]:
             values[VarRef("e", (i,))] = energy[i]
         objective += energy[i]
-    for (j, t, g) in s.demanded:
-        if not any((i, t, g) in r_set for i in s.arcs.covering[g][j]):
-            values[VarRef("h", (j, t, g))] = 1
+    for key in s.demanded:
+        if key not in covered:
+            values[VarRef("h", key)] = 1
             objective += tb.eh
     objective += tb.eg * len(r_set)
     return Solution(values=values, provenance=provenance,

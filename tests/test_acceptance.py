@@ -3,9 +3,11 @@
 Each test is self-contained and states its tolerance inline.  Together
 they pin down solver correctness (exact == oracle), universal solution
 feasibility, benchmark coverage rates, objective accounting, scaling
-behavior, routing soundness, LP round-trips, and battery caps.
+behavior, routing soundness, LP round-trips, battery caps, and the
+heuristic as a floor under budgeted exact runs.
 """
 
+import math
 import statistics
 from dataclasses import replace
 
@@ -234,3 +236,26 @@ def test_battery_caps():
         assert metrics.uncovered_rate == 1.0
         assert all(val == 0.0 for ref, val in sol.values.items()
                    if ref.kind in ("x", "y", "z", "r"))
+
+
+def test_budgeted_exact_never_worse_than_heuristic():
+    """An exact run that ends without a certificate never loses to the greedy.
+
+    The benchmark's six budgeted layouts (default random T=1, seeds 1-6)
+    and default random T=2 and T=3 (seeds 1-3), at 500 and 5000 nodes:
+    the validated exact objective is at most the heuristic's, within 1e-9
+    relative.
+    """
+    layouts = [(1, seed) for seed in range(1, 7)]
+    layouts += [(periods, seed) for periods in (2, 3) for seed in range(1, 4)]
+    for periods, seed in layouts:
+        inst = w.scenario_instance("default", kind="random", periods=periods, seed=seed)
+        arcs = w.build_arcs(inst)
+        heuristic = w.evaluate(inst, w.solve_heuristic(inst, arcs), arcs).objective
+        for nodes in (500, 5000):
+            config = w.SolveConfig(time_limit_s=math.inf, node_limit=nodes)
+            exact, certificate = w.solve_exact(inst, arcs, config=config)
+            assert not certificate, f"T={periods} seed {seed}: certified"
+            objective = w.evaluate(inst, exact, arcs).objective
+            assert objective <= heuristic * (1 + 1e-9), (
+                f"T={periods} seed {seed}, {nodes} nodes: {objective} > {heuristic}")

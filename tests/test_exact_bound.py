@@ -1,15 +1,20 @@
-"""The exact search's sensing bound against the same bound derived from
+"""The exact search's sensing bounds against the same bounds derived from
 scratch.
 
 ``_ExactSearch`` keeps the bound's parts up to date as it sets and undoes
-decisions.  ``derived_bound`` below recomputes the bound from the
-decisions alone, recounting which demand triples are covered, with the
-same float operands in the same order.  At every sensing node the two
-must be equal to the last bit: not close, equal, since a bound that moves
-by one ulp can prune a different node and change the schedule.  The
-search's own bookkeeping is checked at the same nodes: its open list must
-be ascending and hold exactly the uncovered demand triples, and each
-sensing triple's open count must match a recount.
+decisions, and prices both children of a sensing node in one pass.
+``derived_bound`` below recomputes a node's bound from the decisions
+alone, recounting which demand triples are covered, with the same float
+operands in the same order.  Wherever the search computes a bound
+(``_bound_r``, at the root and at each 1-child it builds) and wherever it
+prices a 0-child (``_price_children``), the two must be equal to the last
+bit: not close, equal, since a bound that moves by one ulp can prune a
+different node and change the schedule.  The 1-child's price is a lower
+bound, computed before the child is built: it must not exceed the derived
+bound, so it prunes only what the exact bound would prune.  The search's
+own bookkeeping is checked at the same nodes: its open list must be
+ascending and hold exactly the uncovered demand triples, and each sensing
+triple's open count must match a recount.
 """
 
 import math
@@ -76,9 +81,10 @@ def check_bookkeeping(search, covered):
 
 
 def _check_every_node(monkeypatch, inst, node_limit) -> int:
-    """Solve with the bound checked at every sensing node; returns how many
-    nodes were checked."""
+    """Solve with every bound and price checked; returns how many nodes'
+    bounds were checked."""
     package_bound = _ExactSearch._bound_r
+    package_price = _ExactSearch._price_children
     checked = 0
 
     def bound(search, d, commit, on, on0):
@@ -91,7 +97,25 @@ def _check_every_node(monkeypatch, inst, node_limit) -> int:
         checked += 1
         return got
 
+    def price(search, d, commit, on, on0, one):
+        nonlocal checked
+        bound0, low1 = package_price(search, d, commit, on, on0, one)
+        assert len(search.r_val) == d
+        check_bookkeeping(search, covered_triples(search))
+        key = search.r_list[d]
+        search.r_val[key] = 0
+        assert bound0 == derived_bound(search, covered_triples(search)), (
+            f"0-child of node {search.nodes}, depth {d}")
+        search.r_val[key] = 1
+        want1 = derived_bound(search, covered_triples(search))
+        del search.r_val[key]
+        assert low1 <= want1, f"1-child of node {search.nodes}, depth {d}"
+        assert (low1 >= search.cutoff) <= (want1 >= search.cutoff)
+        checked += 2
+        return bound0, low1
+
     monkeypatch.setattr(_ExactSearch, "_bound_r", bound)
+    monkeypatch.setattr(_ExactSearch, "_price_children", price)
     config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
     w.solve_exact(inst, config=config)
     return checked

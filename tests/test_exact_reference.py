@@ -1,13 +1,20 @@
 """Differential test: the exact search against its frozen earlier version.
 
 ``reference_exact`` kept the sensing bound's parts as running counters of
-its own and priced each sensor's cheapest route with a forward search.
-The package keeps other counters (each sensing triple's count of open
-demand triples beside the cover counts, and the committed cost carried
-down the recursion) and takes the routes' prices from one backward search
-per phenomenon.  That must change the work and nothing else: the solution
-JSON, apart from its wall time, must be the same text, and the certificate
-the same flag, whether the search completes or stops at its node budget.
+its own, priced each sensor's cheapest route with a forward search, and
+computed every node's bound in full.  The package keeps other counters
+(each sensing triple's count of open demand triples beside the cover
+counts, and the committed cost carried down the recursion), takes the
+routes' prices from one backward search per phenomenon, and prices both
+children of a sensing node in one pass.  That must change the work and
+nothing else: the two searches must end with the same incumbent after
+the same number of nodes, and the certificate must be the same flag,
+whether the search completes or stops at its node budget.
+
+``solve_exact`` then puts a floor under a search that ends without a
+certificate: it returns the greedy schedule when that is strictly
+cheaper.  Its solution JSON, apart from its wall time, must be the same
+text as the reference's result with that floor applied.
 
 The benchmark's layouts have one period, so they cannot tell apart the
 periods of a sensor's share of the open demand; the two- and three-period
@@ -17,13 +24,14 @@ all-penalty schedule as their optimum; the seeds whose optimum senses
 something must also agree with the exhaustive oracle.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 import wsnsched as w
-from wsnsched.solve import _route_costs, _Structures, solution_to_json
+from wsnsched.solve import _ExactSearch, _route_costs, _Structures, solution_to_json
 from helpers import distance_grid, tiny_instance
 import reference_exact as ref
 
@@ -36,8 +44,18 @@ def _text(solution):
 
 def _assert_same(inst, arcs, node_limit=0):
     config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
+    got_search = _ExactSearch(inst, arcs, config)
+    want_search = ref._ExactSearch(inst, arcs, config)
+    assert got_search.run() == want_search.run()
+    for field in ("best_obj", "best_r", "best_flows", "nodes"):
+        assert getattr(got_search, field) == getattr(want_search, field), field
+
     got, got_cert = w.solve_exact(inst, arcs, config=config)
     want, want_cert = ref.solve_exact(inst, arcs, config=config)
+    if not want_cert:
+        greedy = w.solve_heuristic(inst, arcs)
+        if greedy.objective < want.objective:
+            want = dataclasses.replace(greedy, provenance="exact")
     assert _text(got) == _text(want)
     assert got_cert == want_cert
     return got, got_cert

@@ -8,13 +8,17 @@ import wsnsched as w
 from wsnsched.solve import (
     FLOW_ARC_CAP,
     OracleCapExceeded,
+    _assemble,
     _enumerate_flows,
+    _ExactSearch,
+    _greedy,
     _route,
     _route_costs,
     _Structures,
     parse_external_solution,
 )
 from helpers import (
+    POOL_LAYOUTS,
     make_instance,
     relay_chain,
     tiny_instance,
@@ -144,6 +148,23 @@ def test_node_limit_drops_certificate_but_stays_feasible():
         inst, arcs, config=w.SolveConfig(node_limit=1))
     assert not certificate
     assert w.check_feasibility(inst, arcs, solution) == []
+
+
+def test_budgeted_exact_never_returns_all_penalty_below_the_greedy():
+    # Trying sensing first, the search spends its whole budget under an
+    # all-on branch whose routes overdraw the batteries; its incumbent is
+    # still the all-penalty schedule (objective 1 913 328) when it stops.
+    device = w.DeviceProfile(transmit=w.TransmitModel(distance_coef=1e-5))
+    inst = w.gen_grid(5, 5, 3, 3, config=w.ScenarioConfig(periods=2, device=device))
+    arcs = w.build_arcs(inst)
+    heuristic = w.solve_heuristic(inst, arcs)
+    assert heuristic.objective == pytest.approx(22.49, rel=1e-12)
+    solution, certificate = w.solve_exact(
+        inst, arcs, config=w.SolveConfig(time_limit_s=math.inf, node_limit=3000))
+    assert not certificate
+    assert solution.provenance == "exact"
+    assert w.check_feasibility(inst, arcs, solution) == []
+    assert solution.objective <= heuristic.objective
 
 
 @pytest.mark.parametrize("kwargs, needle", [
@@ -531,3 +552,59 @@ def test_enumerate_flows_falls_back_to_cheapest_route():
     assert [f.arcs for f in flows] == [tuple(sorted(_route(s, 2, 0, plain)[0]))]
     assert len(flows[0].arcs) == 2
     assert flows[0].cost == pytest.approx(_simple_path_min(s, 2, 0, plain), rel=1e-12)
+
+
+def _derived_binaries(s, r_set, flows) -> set:
+    """Every nonzero binary of a schedule, (kind, indices), from its
+    sensing triples, the arcs' coverage pairs and its flows alone."""
+    n = s.n
+    out = {("r", key) for key in r_set}
+    out |= {("x", (i, j, t, g)) for (i, t, g) in r_set
+            for (c, j) in s.arcs.coverage[g] if c == i}
+    out |= {("z", (l, a, b, t, g)) for (l, t, g), arcs in flows.items() for (a, b) in arcs}
+    active = {(i, t) for (i, t, _) in r_set}
+    active |= {(v, t) for (_, t, _), arcs in flows.items() for arc in arcs
+               for v in arc if v < n}
+    out |= {("y", key) for key in active}
+    out |= {("w", (i, t)) for (i, t) in active if t == 0 or (i, t - 1) not in active}
+    out |= {("h", (j, t, g)) for (j, t, g) in s.demanded
+            if not any((i, t, g) in r_set for i in s.arcs.covering[g][j])}
+    return out
+
+
+def _check_assembled(inst, arcs, node_limit):
+    s = _Structures(inst, arcs)
+    search = _ExactSearch(inst, arcs, w.SolveConfig(time_limit_s=math.inf,
+                                                    node_limit=node_limit))
+    search.run()
+    exact = ({key for key, val in search.best_r.items() if val}, search.best_flows)
+    for r_set, flows in (_greedy(s), exact):
+        solution = _assemble(s, r_set, flows, "test", 0.0)
+        got = {(ref.kind, ref.indices) for ref, val in solution.values.items()
+               if ref.kind != "e"}
+        assert all(val == 1 for ref, val in solution.values.items() if ref.kind != "e")
+        assert got == _derived_binaries(s, r_set, flows)
+    assert _assemble(s, *_greedy(s), "heuristic", 0.0).values == (
+        w.solve_heuristic(inst, arcs).values)
+
+
+@pytest.mark.parametrize("layout", POOL_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
+def test_assemble_derives_binaries_from_the_schedule_on_pool(layout):
+    scenario, kind, periods, seed = layout
+    inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
+    _check_assembled(inst, w.build_arcs(inst), 500)
+
+
+def test_assemble_derives_binaries_from_the_schedule_with_dropped_demand():
+    # A point that does not demand a phenomenon is still covered by x.
+    config = w.ScenarioConfig(periods=2, demand_drop_fraction=0.5)
+    inst = w.gen_random(16, 40, seed=3, config=config)
+    arcs = w.build_arcs(inst)
+    s = _Structures(inst, arcs)
+    assert any(len(s.coverage[key]) > len(s.sensor_cover.get(key, ())) for key in s.coverage)
+    _check_assembled(inst, arcs, 500)
+
+
+def test_assemble_derives_binaries_from_the_schedule_on_tiny():
+    for seed in range(50):
+        _check_assembled(*tiny_instance(seed), 0)
