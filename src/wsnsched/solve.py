@@ -14,7 +14,8 @@ Three methods with very different trust stories:
   phenomenon with shortest-path routing and running battery accounting.
   Each round prices every candidate with one backward search from the
   sinks, a lower bound on its routed cost, and routes candidates in
-  order of that bound only until none left can win.
+  order of that bound only until none left can win.  An improvement pass
+  then drops redundant sensing, the most saving drop first.
 
 All three are deterministic: ties are broken by fixed orderings, never by
 hash order or a clock.
@@ -291,7 +292,8 @@ class _ExactSearch:
     applied; a 1-child that survives computes its exact bound itself.
     The prune cutoff is priced once per incumbent, and the routing phase
     keeps its period-0 activity count and its suffix sums of route lower
-    bounds instead of recounting them at every node.
+    bounds instead of recounting them at every node; each suffix is summed
+    when the routing first reaches its depth.
     """
 
     def __init__(self, instance: Instance, arcs: ArcSets, config: SolveConfig):
@@ -340,7 +342,7 @@ class _ExactSearch:
         self.y_state: set[tuple[int, int]] = set()
         self.on0 = 0  # pairs in y_state with period 0
         self.active: list[tuple[int, int, int]] = []
-        self.remaining: list[float] = []  # route_lb summed over active[q:]
+        self.remaining: list[float | None] = []  # route_lb summed over active[q:]
         self.obj_base = 0.0
         self.flow_choice: dict = {}
 
@@ -487,10 +489,9 @@ class _ExactSearch:
     def _start_routing(self, on0: int):
         """Route the decided-1 triples; ``on0`` counts their period-0 pairs."""
         self.active = sorted(key for key, val in self.r_val.items() if val)
-        # Each suffix is summed left to right from its own start; a running
-        # total taken from the end would round differently.
-        self.remaining = [sum(self.route_lb[(l, g)] for (l, _, g) in self.active[q:])
-                          for q in range(len(self.active) + 1)]
+        # Filled by _branch_flows as it first reaches each depth: most
+        # routing starts are pruned at depth 0.
+        self.remaining = [None] * (len(self.active) + 1)
         self.obj_base = self.eh * len(self.open) + self.eg * len(self.active)
         self.y_state = {(i, t) for (i, t, _) in self.active}
         self.on0 = on0
@@ -503,6 +504,11 @@ class _ExactSearch:
     def _branch_flows(self, q: int):
         self._tick()
         remaining = self.remaining[q]
+        if remaining is None:
+            # Each suffix is summed left to right from its own start; a
+            # running total taken from the end would round differently.
+            remaining = self.remaining[q] = sum(
+                self.route_lb[(l, g)] for (l, _, g) in self.active[q:])
         base = sum(self.en) + self.ea * self.on0 + self.obj_base
         if base + remaining >= self.cutoff:
             return
@@ -586,19 +592,23 @@ def solve_exact(
     least three periods, where a sensor kept on through an idle period can
     save a switch-on, which the search does not explore.
 
-    Without a certificate the greedy schedule of :func:`solve_heuristic`
-    is assembled too, and returned (as provenance "exact") when its
-    objective is strictly lower than the search's best; so such a run is
-    never worse than the heuristic.  A certified run never runs the greedy.
+    Without a certificate the search's best schedule is only a heuristic
+    one, so it is polished (:func:`_polish`) as the greedy's is, and the
+    schedule of :func:`solve_heuristic` is assembled too and returned (as
+    provenance "exact") when its objective is strictly lower; so such a
+    run is never worse than the heuristic.  A certified run does neither.
     """
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
+    s = search.s
     r_set = {key for key, val in search.best_r.items() if val}
-    solution = _assemble(search.s, r_set, search.best_flows, "exact", t0)
-    if not certificate:
-        greedy = _assemble(search.s, *_greedy(search.s), "exact", t0)
+    if certificate:
+        solution = _assemble(s, r_set, search.best_flows, "exact", t0)
+    else:
+        solution = _assemble(s, *_polish(s, r_set, search.best_flows), "exact", t0)
+        greedy = _assemble(s, *_polish(s, *_greedy(s)), "exact", t0)
         if greedy.objective < solution.objective:
             solution = greedy
     return replace(solution, wall_time_s=time.perf_counter() - t0), certificate
@@ -828,11 +838,15 @@ def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution
     best routed ratio, or the uncovered penalty, by more than the slack.
     No candidate after it can win or tie, so the schedule is the one that
     routing every candidate would give.
+
+    That construction is then polished by :func:`_polish`, which drops
+    sensing whose demand other sensors already cover while a drop saves;
+    the result is never costlier and covers the same demand.
     """
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     s = _Structures(instance, arcs)
-    return _assemble(s, *_greedy(s), "heuristic", t0)
+    return _assemble(s, *_polish(s, *_greedy(s)), "heuristic", t0)
 
 
 def _greedy(s: _Structures):
@@ -930,6 +944,94 @@ def _greedy(s: _Structures):
     return r_set, flows
 
 
+def _polish(s: _Structures, r_set, flows):
+    """Drop the sensing that other sensors' sensing makes redundant.
+
+    A best-first reverse delete, the redundancy elimination of connected
+    sensor cover (Gupta, Das & Gu, 2003).  A sensing triple (i, t, g) is a
+    candidate when each demanded point it covers has a second coverer
+    sensing in (t, g).  Dropping it also drops its stream, and saves the
+    activation penalty, the stream's energy, maintenance for each (sensor,
+    period) pair left idle, and activation for each switch-on that idle
+    pair removes, less one for each it creates (a sensor on just before
+    and just after switches on again).  A drop that would raise a sensor
+    above its battery is refused.  Each round drops the candidate with the
+    largest positive saving, the smallest triple on ties, until none saves.
+
+    Savings are priced from counts kept beside the schedule: the sensing
+    triples that cover each demand triple, the uses (sensing, or an end of
+    a stream arc) that keep each pair on, and each sensor's energy.
+    Returns a new (r_set, flows); every demand triple stays covered.
+    """
+    tb = s.tables
+    n, T = s.n, s.T
+    r_set = set(r_set)
+    flows = dict(flows)
+    cover: dict[tuple[int, int, int], int] = {}
+    uses: dict[tuple[int, int], int] = {}
+
+    def count(key, step):
+        i, t, g = key
+        for j in s.sensor_cover.get((i, g), ()):
+            cover[(j, t, g)] = cover.get((j, t, g), 0) + step
+        uses[(i, t)] = uses.get((i, t), 0) + step
+        for (a, b) in flows[key]:
+            uses[(a, t)] = uses.get((a, t), 0) + step
+            if b < n:
+                uses[(b, t)] = uses.get((b, t), 0) + step
+
+    for key in sorted(r_set):
+        count(key, 1)
+    energy = _energies(s, [[uses.get((v, t), 0) > 0 for t in range(T)]
+                           for v in range(n)], flows)
+    cap = tb.eb + BATTERY_TOL
+
+    def price(key):
+        """(saving, each sensor's energy change) of dropping key, or None
+        when the drop would raise some sensor above its battery."""
+        i, t, g = key
+        path = flows[key]
+        charges = _charges(s, g, path)
+        change = {v: -c for v, c in charges.items()}
+        drop = {i: 1}  # the uses of each (v, t) that the drop ends
+        for (a, b) in path:
+            drop[a] = drop.get(a, 0) + 1
+            if b < n:
+                drop[b] = drop.get(b, 0) + 1
+        idle = removed = created = 0
+        for v in sorted(drop):
+            if uses[(v, t)] > drop[v]:
+                continue
+            before = t > 0 and uses.get((v, t - 1), 0) > 0
+            after = t + 1 < T and uses.get((v, t + 1), 0) > 0
+            idle += 1
+            removed += not before
+            created += after
+            change[v] = change.get(v, 0.0) - tb.em + tb.ea * (after - (not before))
+            if change[v] > 0 and energy[v] + change[v] > cap:
+                return None
+        saving = tb.eg + sum(charges.values()) + tb.em * idle + tb.ea * (removed - created)
+        return saving, change
+
+    while True:
+        best = None
+        for key in sorted(r_set):
+            i, t, g = key
+            if any(cover[(j, t, g)] < 2 for j in s.sensor_cover.get((i, g), ())):
+                continue
+            priced = price(key)
+            if priced is not None and priced[0] > (0.0 if best is None else best[0]):
+                best = (priced[0], key, priced[1])
+        if best is None:
+            return r_set, flows
+        _, key, change = best
+        count(key, -1)
+        r_set.discard(key)
+        del flows[key]
+        for v, c in change.items():
+            energy[v] += c
+
+
 # -- schedule assembly ------------------------------------------------------------
 
 
@@ -960,22 +1062,15 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
             if b < n:
                 y[b][t] = True
 
-    energy = [0.0] * n
     for i in range(n):
         prev = False
         for t in range(T):
             if y[i][t]:
                 values[VarRef("y", (i, t))] = 1
-                energy[i] += tb.em
                 if not prev:
                     values[VarRef("w", (i, t))] = 1
-                    energy[i] += tb.ea
             prev = y[i][t]
-    for (l, t, g), path in flows.items():
-        for (a, b) in path:
-            energy[a] += tb.et[(a, b)][g]
-            if b < n:
-                energy[b] += tb.er[g]
+    energy = _energies(s, y, flows)
     objective = 0.0
     for i in range(n):
         if energy[i]:
@@ -988,6 +1083,28 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
     objective += tb.eg * len(r_set)
     return Solution(values=values, provenance=provenance,
                     wall_time_s=time.perf_counter() - t0, objective=objective)
+
+
+def _energies(s: _Structures, y, flows) -> list[float]:
+    """Each sensor's energy, accounted as the energy constraint does:
+    maintenance for each period ``y[i][t]`` holds it on and activation for
+    each switch-on, then every stream's charges, in ``flows`` order."""
+    tb = s.tables
+    energy = [0.0] * s.n
+    for i, row in enumerate(y):
+        prev = False
+        for on in row:
+            if on:
+                energy[i] += tb.em
+                if not prev:
+                    energy[i] += tb.ea
+            prev = on
+    for (_, _, g), path in flows.items():
+        for (a, b) in path:
+            energy[a] += tb.et[(a, b)][g]
+            if b < s.n:
+                energy[b] += tb.er[g]
+    return energy
 
 
 # -- solution files ---------------------------------------------------------------

@@ -10,6 +10,16 @@ import wsnsched as w
 POOL_LAYOUTS = [("bench1", "grid", 1, 0), ("bench1", "grid", 3, 0), ("bench2", "grid", 3, 0),
                 ("default", "random", 2, 2), ("bench2", "random", 2, 1)] + [
                 ("default", "random", 1, s) for s in range(1, 7)]
+# The benchmark's plan layouts, then every other `default` layout with
+# 1-3 periods and seeds 1-5.
+PLAN_POOL = POOL_LAYOUTS[:5]
+HEURISTIC_LAYOUTS = PLAN_POOL + [
+    ("default", kind, periods, seed)
+    for kind in ("grid", "random")
+    for periods in (1, 2, 3)
+    for seed in range(1, 6)
+    if ("default", kind, periods, seed) not in PLAN_POOL
+]
 
 
 def make_instance(

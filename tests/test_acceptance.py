@@ -3,8 +3,9 @@
 Each test is self-contained and states its tolerance inline.  Together
 they pin down solver correctness (exact == oracle), universal solution
 feasibility, benchmark coverage rates, objective accounting, scaling
-behavior, routing soundness, LP round-trips, battery caps, and the
-heuristic as a floor under budgeted exact runs.
+behavior, routing soundness, LP round-trips, battery caps, the
+heuristic as a floor under budgeted exact runs, and the heuristic's
+improvement pass never costing more than its construction.
 """
 
 import math
@@ -14,7 +15,9 @@ from dataclasses import replace
 import pytest
 
 import wsnsched as w
-from helpers import tiny_instance, trivial_instance, assert_routes_reach_sinks
+from wsnsched.solve import _assemble, _greedy, _Structures
+from helpers import (HEURISTIC_LAYOUTS, POOL_LAYOUTS, tiny_instance, trivial_instance,
+                     assert_routes_reach_sinks)
 
 
 def _tiny_grid(periods):
@@ -259,3 +262,27 @@ def test_budgeted_exact_never_worse_than_heuristic():
             objective = w.evaluate(inst, exact, arcs).objective
             assert objective <= heuristic * (1 + 1e-9), (
                 f"T={periods} seed {seed}, {nodes} nodes: {objective} > {heuristic}")
+
+
+def test_polish_never_worse_than_construction():
+    """The heuristic's improvement pass never costs more and never uncovers.
+
+    On the benchmark's pool, every `default` layout with 1-3 periods and
+    seeds 1-5, and 50 tiny instances: the validated objective of
+    ``solve_heuristic`` is at most that of its greedy construction, and
+    both leave exactly the same demand uncovered.
+    """
+    instances = [(f"tiny seed {seed}", *tiny_instance(seed)) for seed in range(50)]
+    for layout in dict.fromkeys(POOL_LAYOUTS + HEURISTIC_LAYOUTS):
+        scenario, kind, periods, seed = layout
+        inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
+        instances.append((layout, inst, w.build_arcs(inst)))
+    for label, inst, arcs in instances:
+        s = _Structures(inst, arcs)
+        construction = _assemble(s, *_greedy(s), "heuristic", 0.0)
+        polished = w.solve_heuristic(inst, arcs)
+        assert (w.evaluate(inst, polished, arcs).objective
+                <= w.evaluate(inst, construction, arcs).objective), label
+        uncovered = [{ref for ref in sol.values if ref.kind == "h"}
+                     for sol in (construction, polished)]
+        assert uncovered[0] == uncovered[1], label

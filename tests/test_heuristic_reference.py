@@ -1,9 +1,12 @@
-"""Differential test: the heuristic against its frozen full-routing version.
+"""Differential test: the greedy construction against its frozen
+full-routing version.
 
 ``reference_heuristic`` routes every candidate of every round in full.  The
 package prices the candidates with one backward search per round and routes
 only those that can still win, which must change the work and nothing else:
-the solution JSON, apart from its wall time, must be the same text.
+the assembled construction's solution JSON, apart from its wall time, must
+be the same text.  ``solve_heuristic`` then polishes that construction;
+``test_polish_reference`` pins that pass and the function's result.
 
 The benchmark layouts and the generated instances price every route
 exactly, because their transmit energy does not depend on distance.  The
@@ -16,26 +19,9 @@ import json
 import pytest
 
 import wsnsched as w
-from wsnsched.solve import _route, _route_costs, _Structures, solution_to_json
-from helpers import make_instance, tiny_instance
+from wsnsched.solve import _assemble, _greedy, _route, _route_costs, _Structures, solution_to_json
+from helpers import HEURISTIC_LAYOUTS, make_instance, tiny_instance
 import reference_heuristic as ref
-
-# The benchmark's plan layouts (scenario, kind, periods, seed).
-POOL = (
-    ("bench1", "grid", 1, 0),
-    ("bench1", "grid", 3, 0),
-    ("bench2", "grid", 3, 0),
-    ("default", "random", 2, 2),
-    ("bench2", "random", 2, 1),
-)
-DEFAULT = tuple(
-    ("default", kind, periods, seed)
-    for kind in ("grid", "random")
-    for periods in (1, 2, 3)
-    for seed in range(1, 6)
-    if ("default", kind, periods, seed) not in POOL
-)
-LAYOUTS = POOL + DEFAULT
 
 
 def _text(solution):
@@ -45,10 +31,12 @@ def _text(solution):
 
 
 def _assert_same(inst, arcs):
-    assert _text(w.solve_heuristic(inst, arcs)) == _text(ref.solve_heuristic(inst, arcs))
+    s = _Structures(inst, arcs)
+    want = ref.solve_heuristic(inst, arcs)
+    assert _text(_assemble(s, *_greedy(s), "heuristic", 0.0)) == _text(want)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
+@pytest.mark.parametrize("layout", HEURISTIC_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
 def test_heuristic_matches_reference_on_layouts(layout):
     scenario, kind, periods, seed = layout
     inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
@@ -81,5 +69,5 @@ def test_heuristic_matches_reference_on_rounding_tie():
     enter = [s.tables.er[0] + s.tables.em] * s.n  # period 1: every sensor was on in 0
     assert _route_costs(s, 0, enter)[1] > _route(s, 1, 0, enter)[1]
     _assert_same(inst, arcs)
-    r = {ref.indices for ref in w.solve_heuristic(inst, arcs).values if ref.kind == "r"}
+    r = _greedy(s)[0]
     assert (1, 1, 0) in r and (0, 1, 0) not in r

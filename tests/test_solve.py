@@ -12,6 +12,7 @@ from wsnsched.solve import (
     _enumerate_flows,
     _ExactSearch,
     _greedy,
+    _polish,
     _route,
     _route_costs,
     _Structures,
@@ -157,8 +158,11 @@ def test_budgeted_exact_never_returns_all_penalty_below_the_greedy():
     device = w.DeviceProfile(transmit=w.TransmitModel(distance_coef=1e-5))
     inst = w.gen_grid(5, 5, 3, 3, config=w.ScenarioConfig(periods=2, device=device))
     arcs = w.build_arcs(inst)
-    heuristic = w.solve_heuristic(inst, arcs)
-    assert heuristic.objective == pytest.approx(22.49, rel=1e-12)
+    s = _Structures(inst, arcs)
+    assert _assemble(s, *_greedy(s), "heuristic", 0.0).objective == pytest.approx(
+        22.49, rel=1e-12)
+    heuristic = w.solve_heuristic(inst, arcs)  # the greedy, polished
+    assert heuristic.objective == pytest.approx(22.18, rel=1e-12)
     solution, certificate = w.solve_exact(
         inst, arcs, config=w.SolveConfig(time_limit_s=math.inf, node_limit=3000))
     assert not certificate
@@ -584,7 +588,7 @@ def _check_assembled(inst, arcs, node_limit):
                if ref.kind != "e"}
         assert all(val == 1 for ref, val in solution.values.items() if ref.kind != "e")
         assert got == _derived_binaries(s, r_set, flows)
-    assert _assemble(s, *_greedy(s), "heuristic", 0.0).values == (
+    assert _assemble(s, *_polish(s, *_greedy(s)), "heuristic", 0.0).values == (
         w.solve_heuristic(inst, arcs).values)
 
 
