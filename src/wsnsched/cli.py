@@ -27,6 +27,7 @@ from .model import MAX_VARIABLES  # noqa: F401  (the cap _load applies, importab
 from .model import build_model, check_model_size, model_stats
 from .report import load_spec, run_experiment, save_rows, save_views
 from .solve import (
+    ORACLE_CAP_DEFAULT,
     SolveConfig,
     brute_force_oracle,
     load_external_solution,
@@ -287,10 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", required=True,
                        choices=("exact", "heuristic", "oracle"))
     solve.add_argument("--out", required=True, help="solution JSON output path")
-    solve.add_argument("--time-limit", type=float, default=60.0, dest="time_limit")
-    solve.add_argument("--node-limit", type=int, default=0, dest="node_limit")
-    solve.add_argument("--gap", type=float, default=0.0)
-    solve.add_argument("--oracle-cap", type=int, default=40, dest="oracle_cap")
+    limits = SolveConfig()
+    solve.add_argument("--time-limit", type=float, default=limits.time_limit_s, dest="time_limit")
+    solve.add_argument("--node-limit", type=int, default=limits.node_limit, dest="node_limit")
+    solve.add_argument("--gap", type=float, default=limits.gap)
+    solve.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT, dest="oracle_cap")
     solve.set_defaults(func=_cmd_solve)
 
     val = sub.add_parser("validate", help="check a solution against an instance")

@@ -5,7 +5,8 @@ models need: a ``Minimize`` section, labelled constraints, a ``Bounds``
 section for the continuous energy variables and a ``Binaries`` section.
 Export is deterministic and numbers are written with ``repr`` precision,
 so export -> parse -> export reproduces the file byte for byte.  A bound
-of (-inf, inf) is written ``name free``.
+of (-inf, inf) is written ``name free``, and one of (-inf, hi) as that
+line followed by ``name <= hi``.
 
 Import reads the text once, a line at a time (:class:`_Parser`), so what
 it holds beyond the model it builds is about one line's tokens.  Numbers
@@ -102,9 +103,11 @@ def _lines(model: IlpModel):
     if model.bounds:
         yield "Bounds"
         for ref, lo, hi in model.bounds:
-            if lo == -math.inf and hi == math.inf:
+            if lo == -math.inf:
                 yield f" {names[ref]} free"
-            elif math.isinf(hi):
+                if hi != math.inf:  # the next line keeps the free low side
+                    yield f" {names[ref]} <= {nums[hi]}"
+            elif hi == math.inf:
                 yield f" {names[ref]} >= {nums[lo]}"
             else:
                 yield f" {nums[lo]} <= {names[ref]} <= {nums[hi]}"

@@ -281,15 +281,17 @@ class _ExactSearch:
     cover, so the bound never exceeds the cost of any completion of the
     node.  Its parts are kept up to date as decisions are set and undone:
     the committed cost and active-pair counts travel down the recursion;
-    the open demand triples are a list in ``s.demanded`` order, the only
-    triples the bound visits; and each sensing triple keeps its count of
-    open demand triples.  Sensing a triple closes the open triples it
-    covers and pushes them on a stack; undoing it pops them, puts each
-    back in order and restores the counts, as in Knuth's dancing links.
-    One pass over a node's open triples prices both its children: the
-    0-child's exact bound, handed down, and a lower bound for the 1-child
-    from the node's own counts, which prunes that child before sensing is
-    applied; a 1-child that survives computes its exact bound itself.
+    the triples decided 1 are a stack, in decision order, which routing
+    starts from; the open demand triples are a list in ``s.demanded``
+    order, the only triples the bound visits; and each sensing triple keeps
+    its count of open demand triples.  Sensing a triple closes the open
+    triples it covers and pushes them on a stack; undoing it pops them,
+    puts each back in order and restores the counts, as in Knuth's dancing
+    links.  Each node makes one pass over its open triples (:meth:`_price`)
+    for three sums: its own bound, its 0-child's exact bound, which is
+    handed down, and a lower bound for its 1-child from the node's own
+    counts, which prunes that child before sensing is applied.  A 0-child
+    at the last depth needs no pass.
     The prune cutoff is priced once per incumbent, and the routing phase
     keeps its period-0 activity count and its suffix sums of route lower
     bounds instead of recounting them at every node; each suffix is summed
@@ -323,16 +325,15 @@ class _ExactSearch:
             [(i * s.T + tt) * s.G + g for i in reversed(arcs.covering[g][j])]
             for (j, tt, g) in s.demanded
         ]
-        self.r_val: dict[tuple[int, int, int], int] = {}
         # Demand positions with no coverer decided 1, ascending, with a set
         # beside the list; each sensing decision's closed positions.
         self.open = list(range(len(s.demanded)))
         self.open_set = set(self.open)
         self.closed: list[list[int]] = []
         self.open_count = [len(q) for q in self.covers]  # in r_list order
-        self.on_pairs: set[tuple[int, int]] = set()  # (i, t) with a sensing 1
+        self.ones: list[tuple[int, int, int]] = []  # the triples decided 1, in order
         # Incumbent: the all-off schedule, always feasible.
-        self._incumbent(self.eh * len(s.demanded), {}, {})
+        self._incumbent(self.eh * len(s.demanded), (), {})
         self.nodes = 0
         self.truncated = False
         self.deadline = time.perf_counter() + config.time_limit_s
@@ -341,7 +342,7 @@ class _ExactSearch:
         self.en = [0.0] * s.n
         self.y_state: set[tuple[int, int]] = set()
         self.on0 = 0  # pairs in y_state with period 0
-        self.active: list[tuple[int, int, int]] = []
+        self.active: tuple[tuple[int, int, int], ...] = ()
         self.remaining: list[float | None] = []  # route_lb summed over active[q:]
         self.obj_base = 0.0
         self.flow_choice: dict = {}
@@ -389,66 +390,69 @@ class _ExactSearch:
         active (sensor, period) pairs, in all periods and in period 0.
         ``bound`` is the node's sensing bound when its parent priced it."""
         self._tick()
-        if bound is None:
-            bound = self._bound_r(d, commit, on, on0)
-        if bound >= self.cutoff:
+        if bound is not None and bound >= self.cutoff:
             return
+        base = commit + self.em * on + self.ea * on0
         if d == len(self.r_list):
-            self._start_routing(on0)
+            if bound is None:
+                bound = self._price(d, base, base)[0]
+            if bound < self.cutoff:
+                self._start_routing(on0)
             return
         key = self.r_list[d]
         i, t, _ = key
         cost = self.sense_cost[d]
-        fresh = (i, t) not in self.on_pairs
+        # r_list varies g fastest: (i, t) has a sensing 1 only on top.
+        fresh = not self.ones or self.ones[-1][:2] != (i, t)
         one = (commit + cost, on + fresh, on0 + (fresh and t == 0))
-        bound0, low1 = self._price_children(d, commit, on, on0, one)
+        bound, bound0, low1 = self._price(
+            d, base, one[0] + self.em * one[1] + self.ea * one[2])
+        if bound >= self.cutoff:
+            return
         if not math.isinf(cost):  # sensing with no route to any sink is infeasible
             if low1 >= self.cutoff:
                 self._tick()  # the 1-child, pruned without being built
             else:
-                self.r_val[key] = 1
-                if fresh:
-                    self.on_pairs.add((i, t))
+                self.ones.append(key)
                 self._cover(d, 1)
                 self._branch_r(d + 1, *one)
                 self._cover(d, -1)
-                if fresh:
-                    self.on_pairs.discard((i, t))
-                del self.r_val[key]
-        self.r_val[key] = 0
+                self.ones.pop()
         self._branch_r(d + 1, commit, on, on0, bound0)
-        del self.r_val[key]
 
-    def _price_children(self, d: int, commit: float, on: int, on0: int, one):
-        """Price both children of a node at depth d in one pass over its
-        open demand triples; ``one`` holds the 1-child's (commit, on, on0).
+    def _price(self, d: int, base: float, base1: float):
+        """One pass over the open demand triples of a node at depth d,
+        whose committed part is ``base`` and whose 1-child's is ``base1``.
 
-        Returns the 0-child's bound, exactly as :meth:`_bound_r` computes
-        it there, and a lower bound on the 1-child's.  A triple's cheapest
-        share is the same for both children up to the 1-child's open
-        counts, which are at most the node's; a smaller count only raises
-        a share.  So the 1-child's sum, over the triples that r_list[d]
-        leaves open and from its own base, adds terms no larger than its
-        bound adds, in the same order, and cannot exceed that bound.
+        Returns the node's bound, its 0-child's bound and a lower bound on
+        its 1-child's.  Each open triple adds the least of its penalty and
+        its undecided coverers' shares: for the 0-child the coverers after
+        r_list[d], for the node r_list[d] too.  The 1-child's sum skips the
+        triples that r_list[d] covers.  Its own shares are those of the
+        0-child, up to its open counts, which are at most the node's, and a
+        smaller count only raises a share; so its sum adds terms no larger
+        than its bound adds, in the same order, and cannot exceed it.
         """
-        bound0 = commit + self.em * on + self.ea * on0
-        c1, n1, n10 = one
-        low1 = c1 + self.em * n1 + self.ea * n10
+        own = zero = base
+        one = base1
         open_count, cost, coverers, eh = self.open_count, self.sense_cost, self.coverers, self.eh
         for q in self.open:
             cheapest = eh
-            mine = False
+            p = -1
             for p in coverers[q]:
                 if p <= d:
-                    mine = p == d  # sensing r_list[d] covers q
-                    break  # this coverer and the rest are decided
+                    break  # this coverer and the rest are decided, or r_list[d]
                 share = cost[p] / open_count[p]
                 if share < cheapest:
                     cheapest = share
-            bound0 += cheapest
-            if not mine:
-                low1 += cheapest
-        return bound0, low1
+            zero += cheapest
+            if p == d:  # sensing r_list[d] covers q
+                share = cost[d] / open_count[d]
+                own += share if share < cheapest else cheapest
+            else:
+                own += cheapest
+                one += cheapest
+        return own, zero, one
 
     def _cover(self, d: int, step: int):
         """Sense (step 1) or undo sensing (step -1) r_list[d].  Sensing
@@ -470,25 +474,11 @@ class _ExactSearch:
             for p in self.coverers[q]:
                 open_count[p] -= step
 
-    def _bound_r(self, d: int, commit: float, on: int, on0: int) -> float:
-        bound = commit + self.em * on + self.ea * on0
-        open_count, cost, coverers = self.open_count, self.sense_cost, self.coverers
-        for q in self.open:
-            cheapest = self.eh
-            for p in coverers[q]:
-                if p < d:
-                    break  # this coverer and the rest are decided
-                share = cost[p] / open_count[p]
-                if share < cheapest:
-                    cheapest = share
-            bound += cheapest
-        return bound
-
     # -- routing phase --
 
     def _start_routing(self, on0: int):
         """Route the decided-1 triples; ``on0`` counts their period-0 pairs."""
-        self.active = sorted(key for key, val in self.r_val.items() if val)
+        self.active = tuple(self.ones)
         # Filled by _branch_flows as it first reaches each depth: most
         # routing starts are pruned at depth 0.
         self.remaining = [None] * (len(self.active) + 1)
@@ -573,7 +563,7 @@ class _ExactSearch:
                 return
             total += ei
         if total < self.best_obj - 1e-12:
-            self._incumbent(total, dict(self.r_val), dict(self.flow_choice))
+            self._incumbent(total, self.active, dict(self.flow_choice))
 
 
 def solve_exact(
@@ -603,11 +593,10 @@ def solve_exact(
     search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
     s = search.s
-    r_set = {key for key, val in search.best_r.items() if val}
     if certificate:
-        solution = _assemble(s, r_set, search.best_flows, "exact", t0)
+        solution = _assemble(s, search.best_r, search.best_flows, "exact", t0)
     else:
-        solution = _assemble(s, *_polish(s, r_set, search.best_flows), "exact", t0)
+        solution = _assemble(s, *_polish(s, search.best_r, search.best_flows), "exact", t0)
         greedy = _assemble(s, *_polish(s, *_greedy(s)), "exact", t0)
         if greedy.objective < solution.objective:
             solution = greedy

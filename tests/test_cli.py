@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import wsnsched as w
-from wsnsched.cli import MAX_VARIABLES, main
+from wsnsched.cli import MAX_VARIABLES, _build_parser, main
 from wsnsched.ioutil import atomic_write_text
-from wsnsched.solve import solution_to_json
+from wsnsched.report import csv_to_rows, spec_from_json
+from wsnsched.solve import ORACLE_CAP_DEFAULT, solution_to_json
 
 
 def _gen_small(tmp_path, name="inst.json", extra=()):
@@ -200,6 +201,23 @@ def test_malformed_experiment_spec_exits_2(tmp_path, capsys, doc, needle):
     assert not out_path.exists()
 
 
+def test_exact_experiment_row_is_the_exact_schedule(tmp_path):
+    # The default grid at T=1: the search ends within its limits (without a
+    # certificate, since a commodity is over FLOW_ARC_CAP) in about 0.6 s.
+    doc = {"format": "wsn-experiment/1", "types": ["grid"], "periods": [1],
+           "solver": "exact", "scenario": "default"}
+    inst = w.scenario_instance("default", kind="grid", periods=1, seed=0)
+    arcs = w.build_arcs(inst)
+    want = w.evaluate(inst, w.solve_exact(inst, arcs)[0], arcs).objective
+    [row] = w.run_experiment(spec_from_json(doc))
+    assert (row.n, row.objective_mean) == (1, want)
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "table.csv"
+    spec_path.write_text(json.dumps(doc))
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(out_path)]) == 0
+    [row] = csv_to_rows(out_path.read_text())
+    assert (row.n, row.objective_mean) == (1, want)
+
+
 def test_oversized_experiment_exits_2_before_allocating(tmp_path):
     # As for solve above: the experiment's cells pass the same size guard.
     spec_path = tmp_path / "spec.json"
@@ -267,6 +285,15 @@ def test_exact_node_limit_exits_3(tmp_path, capsys):
     # The incumbent written alongside the failure is still a valid solution.
     assert main(["validate", "--instance", str(inst_path),
                  "--solution", str(sol_path)]) == 0
+
+
+def test_solve_limit_defaults_are_the_library_defaults():
+    args = _build_parser().parse_args(["solve", "--instance", "i.json", "--method", "exact",
+                                       "--out", "s.json"])
+    config = w.SolveConfig(time_limit_s=args.time_limit, node_limit=args.node_limit,
+                           gap=args.gap)
+    assert config == w.SolveConfig()
+    assert args.oracle_cap == ORACLE_CAP_DEFAULT
 
 
 @pytest.mark.parametrize("flag, value, needle", [
@@ -448,6 +475,24 @@ def test_validate_external_aliasing_name_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "malformed variable name 'y_i00_t0'" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("y_i99_t0 = 1", "variable y_i99_t0 does not belong to this instance"),
+    ("y_i0_t0 = abc", "line 1: malformed value 'abc'"),
+    ("y_i0_t0 1", "line 1: expected 'name = value'"),
+], ids=["foreign-variable", "malformed-value", "no-equals"])
+def test_validate_unreadable_external_file_exits_2(tmp_path, capsys, text, needle):
+    inst_path = _gen_small(tmp_path)
+    ext_path = tmp_path / "ext.sol"
+    ext_path.write_text(text + "\n")
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path),
+               "--solution", str(ext_path), "--external"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err
 
 
 def _solution_with(tmp_path, name, raw):

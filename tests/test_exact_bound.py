@@ -2,19 +2,21 @@
 scratch.
 
 ``_ExactSearch`` keeps the bound's parts up to date as it sets and undoes
-decisions, and prices both children of a sensing node in one pass.
-``derived_bound`` below recomputes a node's bound from the decisions
+decisions, keeps the triples decided 1 on a stack, ``ones``, and prices
+each sensing node in one pass, ``_price``: the node's own bound, its
+0-child's bound and a lower bound on its 1-child's.  ``derived_bound``
+below recomputes a node's bound from its depth and its triples decided 1
 alone, recounting which demand triples are covered, with the same float
-operands in the same order.  Wherever the search computes a bound
-(``_bound_r``, at the root and at each 1-child it builds) and wherever it
-prices a 0-child (``_price_children``), the two must be equal to the last
-bit: not close, equal, since a bound that moves by one ulp can prune a
-different node and change the schedule.  The 1-child's price is a lower
-bound, computed before the child is built: it must not exceed the derived
-bound, so it prunes only what the exact bound would prune.  The search's
-own bookkeeping is checked at the same nodes: its open list must be
-ascending and hold exactly the uncovered demand triples, and each sensing
-triple's open count must match a recount.
+operands in the same order.  At every call of the pass, the node's own
+bound and its 0-child's must equal the derived ones to the last bit: not
+close, equal, since a bound that moves by one ulp can prune a different
+node and change the schedule.  The 1-child's price is computed before the
+child is built: it must not exceed the derived bound, so it prunes only
+what the exact bound would prune.  The search's own bookkeeping is
+checked at the same nodes: the stack must hold triples decided before the
+node, in decision order; the open list must be ascending and hold exactly
+the uncovered demand triples; and each sensing triple's open count must
+match a recount.
 """
 
 import math
@@ -26,23 +28,27 @@ from wsnsched.solve import _ExactSearch
 from helpers import distance_grid
 
 
-def covered_triples(search) -> set[tuple[int, int, int]]:
-    """The demand triples (j, t, g) with a coverer decided 1, from ``r_val``
-    and ``sensor_cover`` alone."""
-    return {(j, t, g)
-            for (i, t, g), val in search.r_val.items() if val
-            for j in search.s.sensor_cover.get((i, g), ())}
+def position(search, key) -> int:
+    """A sensing triple's depth: its position in ``r_list``."""
+    i, t, g = key
+    return (i * search.s.T + t) * search.s.G + g
 
 
-def derived_bound(search, covered) -> float:
-    """The sensing bound of the search's current node, from ``r_val`` and
-    its covered triples only."""
+def covered_triples(search, ones) -> set[tuple[int, int, int]]:
+    """The demand triples (j, t, g) with a coverer in ``ones``, from
+    ``sensor_cover`` alone."""
+    return {(j, t, g) for (i, t, g) in ones for j in search.s.sensor_cover.get((i, g), ())}
+
+
+def derived_bound(search, depth, ones) -> float:
+    """The sensing bound of a node at ``depth`` whose triples decided 1
+    are ``ones``: the triples before ``depth`` are decided, the rest open."""
+    covered = covered_triples(search, ones)
     commit = 0.0
     active: set[tuple[int, int]] = set()
-    for (i, t, g), val in search.r_val.items():
-        if val:
-            commit += search.eg + search.route_lb[(i, g)]
-            active.add((i, t))
+    for (i, t, g) in ones:
+        commit += search.eg + search.route_lb[(i, g)]
+        active.add((i, t))
     bound = (commit + search.em * len(active)
              + search.ea * sum(1 for (_, t) in active if t == 0))
     share: dict[tuple[int, int, int], float] = {}  # per undecided (i, t, g)
@@ -52,7 +58,7 @@ def derived_bound(search, covered) -> float:
         cheapest = search.eh
         for i in search.s.arcs.covering[g][j]:
             key = (i, t, g)
-            if key in search.r_val:
+            if position(search, key) < depth:
                 continue
             if key not in share:
                 k = sum(1 for jj in search.s.sensor_cover[(i, g)]
@@ -81,41 +87,29 @@ def check_bookkeeping(search, covered):
 
 
 def _check_every_node(monkeypatch, inst, node_limit) -> int:
-    """Solve with every bound and price checked; returns how many nodes'
-    bounds were checked."""
-    package_bound = _ExactSearch._bound_r
-    package_price = _ExactSearch._price_children
+    """Solve with every pass checked; returns how many bounds were checked."""
+    package_price = _ExactSearch._price
     checked = 0
 
-    def bound(search, d, commit, on, on0):
+    def price(search, d, base, base1):
         nonlocal checked
-        got = package_bound(search, d, commit, on, on0)
-        assert len(search.r_val) == d
-        covered = covered_triples(search)
-        check_bookkeeping(search, covered)
-        assert got == derived_bound(search, covered), f"node {search.nodes}, depth {d}"
+        own, zero, low1 = package_price(search, d, base, base1)
+        ones = list(search.ones)
+        depths = [position(search, key) for key in ones]
+        assert depths == sorted(set(depths)) and all(p < d for p in depths)
+        check_bookkeeping(search, covered_triples(search, ones))
+        where = f"node {search.nodes}, depth {d}"
+        assert own == derived_bound(search, d, ones), where
         checked += 1
-        return got
+        if d < len(search.r_list):
+            assert zero == derived_bound(search, d + 1, ones), f"0-child of {where}"
+            want1 = derived_bound(search, d + 1, ones + [search.r_list[d]])
+            assert low1 <= want1, f"1-child of {where}"
+            assert (low1 >= search.cutoff) <= (want1 >= search.cutoff)
+            checked += 2
+        return own, zero, low1
 
-    def price(search, d, commit, on, on0, one):
-        nonlocal checked
-        bound0, low1 = package_price(search, d, commit, on, on0, one)
-        assert len(search.r_val) == d
-        check_bookkeeping(search, covered_triples(search))
-        key = search.r_list[d]
-        search.r_val[key] = 0
-        assert bound0 == derived_bound(search, covered_triples(search)), (
-            f"0-child of node {search.nodes}, depth {d}")
-        search.r_val[key] = 1
-        want1 = derived_bound(search, covered_triples(search))
-        del search.r_val[key]
-        assert low1 <= want1, f"1-child of node {search.nodes}, depth {d}"
-        assert (low1 >= search.cutoff) <= (want1 >= search.cutoff)
-        checked += 2
-        return bound0, low1
-
-    monkeypatch.setattr(_ExactSearch, "_bound_r", bound)
-    monkeypatch.setattr(_ExactSearch, "_price_children", price)
+    monkeypatch.setattr(_ExactSearch, "_price", price)
     config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
     w.solve_exact(inst, config=config)
     return checked

@@ -4,12 +4,13 @@
 its own, priced each sensor's cheapest route with a forward search, and
 computed every node's bound in full.  The package keeps other counters
 (each sensing triple's count of open demand triples beside the cover
-counts, and the committed cost carried down the recursion), takes the
-routes' prices from one backward search per phenomenon, and prices both
-children of a sensing node in one pass.  That must change the work and
-nothing else: the two searches must end with the same incumbent after
-the same number of nodes, and the certificate must be the same flag,
-whether the search completes or stops at its node budget.
+counts, and the committed cost carried down the recursion), keeps only
+the triples decided 1, on a stack, takes the routes' prices from one
+backward search per phenomenon, and prices a sensing node and both its
+children in one pass.  That must change the work and nothing else: the
+two searches must end with the same incumbent after the same number of
+nodes, and the certificate must be the same flag, whether the search
+completes or stops at its node budget.
 
 ``solve_exact`` then treats a search that ends without a certificate
 as a heuristic: it polishes the incumbent with the package's ``_polish``
@@ -50,8 +51,10 @@ def _assert_same(inst, arcs, node_limit=0):
     got_search = _ExactSearch(inst, arcs, config)
     want_search = ref._ExactSearch(inst, arcs, config)
     assert got_search.run() == want_search.run()
-    for field in ("best_obj", "best_r", "best_flows", "nodes"):
+    for field in ("best_obj", "best_flows", "nodes"):
         assert getattr(got_search, field) == getattr(want_search, field), field
+    # The package keeps only the triples decided 1; the reference, every decision.
+    assert set(got_search.best_r) == {key for key, val in want_search.best_r.items() if val}
 
     got, got_cert = w.solve_exact(inst, arcs, config=config)
     want, want_cert = ref.solve_exact(inst, arcs, config=config)

@@ -239,6 +239,10 @@ def test_bounds_set_only_the_side_they_name(lines, lo, hi):
     body = "".join(f" {line}\n" for line in lines)
     model = w.parse_lp(f"Minimize\n obj: e_i0\nBounds\n{body}End\n")
     assert model.bounds == ((w.VarRef("e", (0,)), lo, hi),)
+    # Every shape writes back: (-inf, hi) as "free" then "<= hi".
+    text = w.export_lp(model)
+    assert w.parse_lp(text).bounds == model.bounds
+    assert w.export_lp(w.parse_lp(text)) == text
 
 
 def test_numbers_take_ascii_digits_only():

@@ -48,7 +48,7 @@ def _incumbent(inst, arcs, node_limit):
     search = _ExactSearch(inst, arcs, w.SolveConfig(time_limit_s=math.inf,
                                                     node_limit=node_limit))
     search.run()
-    return {key for key, val in search.best_r.items() if val}, search.best_flows
+    return set(search.best_r), search.best_flows
 
 
 def _text(solution):

@@ -581,7 +581,7 @@ def _check_assembled(inst, arcs, node_limit):
     search = _ExactSearch(inst, arcs, w.SolveConfig(time_limit_s=math.inf,
                                                     node_limit=node_limit))
     search.run()
-    exact = ({key for key, val in search.best_r.items() if val}, search.best_flows)
+    exact = (set(search.best_r), search.best_flows)
     for r_set, flows in (_greedy(s), exact):
         solution = _assemble(s, r_set, flows, "test", 0.0)
         got = {(ref.kind, ref.indices) for ref, val in solution.values.items()
