@@ -162,6 +162,8 @@ _SECTION_WORDS = {
 # Import splits the text into lines this many at a time.  Export joins its
 # lines in blocks of as many.
 _BLOCK_LINES = 1024
+# Import renumbers its term columns in place this many at a time.
+_RENUMBER_SLICE = 1 << 14
 
 
 def _is_number(text: str) -> bool:
@@ -508,7 +510,10 @@ def parse_lp(text: str) -> IlpModel:
     for k, col in enumerate(order):
         renumber[col] = k
     rows.columns = variables = tuple(refs[col] for col in order)
-    rows.cols = array("l", map(renumber.__getitem__, rows.cols))
+    cols = rows.cols
+    for lo in range(0, len(cols), _RENUMBER_SLICE):  # in place, a slice at a time
+        hi = lo + _RENUMBER_SLICE
+        cols[lo:hi] = array("l", map(renumber.__getitem__, cols[lo:hi]))
 
     return IlpModel(
         variables=variables,

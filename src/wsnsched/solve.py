@@ -2,9 +2,12 @@
 
 Three methods with very different trust stories:
 
-* :func:`brute_force_oracle` enumerates assignments outright.  Slow and
-  deliberately simple; it shares no search or bounding machinery with the
-  branch-and-bound solver, so the two can check each other.
+* :func:`brute_force_oracle` enumerates every assignment of the routing
+  and sensing binaries (z, r) outright, and completes its winner with the
+  schedule assembler the other two use, checking the completed objective
+  against its own.  Slow and deliberately simple; it shares no search or
+  bounding machinery with the branch-and-bound solver, so the two can
+  check each other.
 * :func:`solve_exact` is a depth-first branch-and-bound over the sensing
   decisions; each sensed stream is then routed by choosing among that
   commodity's simple paths to a sink.  Returns a certificate flag that is
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .instance import ArcSets, Instance, arcs_for
-from .model import VarRef, parse_var_name, variable_universe
+from .model import VarRef, parse_var_name, universe_size, variable_universe
 from .validate import _Universe
 
 SOLUTION_FORMAT = "wsn-solution/1"
@@ -347,7 +350,7 @@ class _ExactSearch:
         self.obj_base = 0.0
         self.flow_choice: dict = {}
 
-    def _incumbent(self, obj: float, r: dict, flows: dict):
+    def _incumbent(self, obj: float, r: tuple[tuple[int, int, int], ...], flows: dict):
         """Take (obj, r, flows) as the best schedule so far; a node is
         pruned once its bound reaches ``cutoff``."""
         self.best_obj = obj
@@ -613,18 +616,21 @@ def brute_force_oracle(
 ) -> Solution:
     """Optimal solution by exhaustive enumeration.
 
-    Enumerates every assignment of the independent binaries (x, z, r) and
-    derives the forced completion of the dependent ones: y is the minimal
-    activity pattern consistent with the assignment, w its transitions, h
-    the uncovered indicators, e the accounted energy.  When activation
-    energy does not exceed maintenance energy, or there are fewer than
-    three periods, some optimal solution always has this shape, so the
-    enumeration loses nothing.  Otherwise keeping a sensor on through an
-    idle period can save a switch-on, and the result is optimal only among
-    schedules with minimal activity.  Ties go to
-    the lexicographically smallest (x, z, r) assignment in model variable
-    order, and with positive fixed energies the completion is the unique
-    optimal one.
+    Enumerates every assignment of the routing and sensing binaries (z, r)
+    and derives the rest as :func:`_assemble` does: x on every coverage
+    pair of a sensing triple, which only lowers h since x appears in no
+    other constraint; y the minimal activity pattern consistent with the
+    assignment, w its transitions, h the uncovered indicators, e the
+    accounted energy.  When activation energy does not exceed maintenance
+    energy, or there are fewer than three periods, some optimal solution
+    always has this shape, so the enumeration loses nothing.  Otherwise
+    keeping a sensor on through an idle period can save a switch-on, and the
+    result is optimal only among schedules with minimal activity.  Ties go
+    to the smallest (z, r) assignment in model variable order.
+
+    The winner is completed by :func:`_assemble`, as the other solvers'
+    schedules are, and an AssertionError is raised when the completed
+    objective differs from the enumeration's by more than 1e-9 relative.
 
     Raises :class:`OracleCapExceeded` when the model has more than ``cap``
     binary variables (enumeration time grows as 2^free).
@@ -633,129 +639,80 @@ def brute_force_oracle(
 
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
-    universe = variable_universe(instance, arcs)
-    n_binary = sum(1 for ref in universe if ref.kind != "e")
+    n_binary = universe_size(instance, arcs) - len(instance.sensors)  # all but e
     if n_binary > cap:
         raise OracleCapExceeded(
             f"instance has {n_binary} binary variables, oracle cap is {cap}"
         )
-    tables = arcs.tables
-    n = len(instance.sensors)
-    T = instance.periods
-    G = len(instance.phenomena)
+    s = _Structures(instance, arcs)
+    tb, n = s.tables, s.n
 
-    free = [ref for ref in universe if ref.kind in ("x", "z", "r")]
-    col = {ref: k for k, ref in enumerate(free)}
-    nf = len(free)
-
-    demanded = [
-        (j, t, g)
-        for g in range(G)
-        for j in instance.demand_indices(g)
-        for t in range(T)
-    ]
-    cover_cols: dict[tuple[int, int, int], list[int]] = {key: [] for key in demanded}
-    for ref in free:
-        if ref.kind == "x":
-            i, j, t, g = ref.indices
-            if (j, t, g) in cover_cols:
-                cover_cols[(j, t, g)].append(col[ref])
-    # C5/C6 rows as free-column index lists.
-    c5_rows: list[tuple[list[int], list[int]]] = []
-    c6_rows: list[tuple[list[int], int]] = []
-    for g in range(G):
-        src = set(arcs.sources[g])
-        for l in arcs.sources[g]:
-            for t in range(T):
-                for j in range(n):
-                    if j == l:
-                        continue
-                    ins = [col[VarRef("z", (l, a, b, t, g))] for (a, b) in arcs.in_arcs[j]]
-                    outs = [col[VarRef("z", (l, a, b, t, g))]
-                            for (a, b) in arcs.out_arcs[j] if b != l]
-                    if ins or outs:
-                        c5_rows.append((ins, outs))
-        for l in range(n):
-            for t in range(T):
-                outs = []
-                if l in src:
-                    outs = [col[VarRef("z", (l, a, b, t, g))]
-                            for (a, b) in arcs.out_arcs[l] if b != l]
-                c6_rows.append((outs, col[VarRef("r", (l, t, g))]))
-
-    x_pairs = []  # C3: x column with its matching r column
-    for ref in free:
-        if ref.kind == "x":
-            i, j, t, g = ref.indices
-            x_pairs.append((col[ref], col[VarRef("r", (i, t, g))]))
-
-    # Which free columns force a sensor active at (i, t), and what each
-    # chosen column costs each sensor.
-    act_cols: dict[tuple[int, int], list[int]] = {
-        (i, t): [] for i in range(n) for t in range(T)
-    }
-    energy_coef: list[dict[int, float]] = [dict() for _ in range(n)]
-    for ref in free:
+    # One pass over the free columns: the (sensor, period) pairs each keeps
+    # on, each sensor's energy per column, the stream balance of each
+    # (source, sensor, t, g) as (inflow, outflow) columns, with the sensing
+    # column as the source's inflow (C5 and C6), and the sensing columns
+    # covering each demanded triple.
+    free = [ref for ref in variable_universe(instance, arcs) if ref.kind in ("z", "r")]
+    on: dict[tuple[int, int], list[int]] = {}
+    coef: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    balance: dict[tuple[int, int, int, int], tuple[list[int], list[int]]] = {}
+    covers: dict[tuple[int, int, int], list[int]] = {key: [] for key in s.demanded}
+    sensing = []
+    for c, ref in enumerate(free):
         if ref.kind == "r":
             i, t, g = ref.indices
-            act_cols[(i, t)].append(col[ref])
-        elif ref.kind == "z":
+            on.setdefault((i, t), []).append(c)
+            balance.setdefault((i, i, t, g), ([], []))[0].append(c)
+            for j in s.sensor_cover.get((i, g), ()):
+                covers[(j, t, g)].append(c)
+            sensing.append(c)
+        else:
             l, a, b, t, g = ref.indices
-            c = col[ref]
-            act_cols[(a, t)].append(c)
-            energy_coef[a][c] = energy_coef[a].get(c, 0.0) + tables.et[(a, b)][g]
+            on.setdefault((a, t), []).append(c)
+            coef[a].append((c, tb.et[(a, b)][g]))
+            balance.setdefault((l, a, t, g), ([], []))[1].append(c)
             if b < n:
-                act_cols[(b, t)].append(c)
-                energy_coef[b][c] = energy_coef[b].get(c, 0.0) + tables.er[g]
+                on.setdefault((b, t), []).append(c)
+                coef[b].append((c, tb.er[g]))
+                balance.setdefault((l, b, t, g), ([], []))[0].append(c)
 
-    r_cols_all = [col[ref] for ref in free if ref.kind == "r"]
-
-    best_code = None
-    best_obj = math.inf
-    batch_bits = min(nf, 20)
-    total = 1 << nf
-    shifts = np.array([nf - 1 - k for k in range(nf)], dtype=np.uint64)
-    for start in range(0, total, 1 << batch_bits):
-        stop = min(total, start + (1 << batch_bits))
-        codes = np.arange(start, stop, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    nf = len(free)
+    best_code, best_obj = 0, math.inf
+    step = 1 << min(nf, 16)
+    for start in range(0, 1 << nf, step):
+        codes = np.arange(start, min(start + step, 1 << nf), dtype=np.uint64)
+        # Column c is bit nf-1-c of the code: codes ascend in model order.
+        bits = [(codes >> np.uint64(nf - 1 - c) & np.uint64(1)).astype(np.uint8)
+                for c in range(nf)]
         feas = np.ones(len(codes), dtype=bool)
+        for ins, outs in balance.values():
+            feas &= sum(bits[c] for c in ins) == sum(bits[c] for c in outs)
+        codes = codes[feas]
+        if not len(codes):
+            continue
+        bits = [col[feas] for col in bits]
 
-        for xc, rc in x_pairs:  # C3
-            feas &= bits[:, xc] <= bits[:, rc]
-        for ins, outs in c5_rows:  # C5
-            lhs = bits[:, ins].sum(axis=1, dtype=np.int32) if ins else 0
-            rhs = bits[:, outs].sum(axis=1, dtype=np.int32) if outs else 0
-            feas &= lhs == rhs
-        for outs, rc in c6_rows:  # C6
-            lhs = bits[:, outs].sum(axis=1, dtype=np.int32) if outs else 0
-            feas &= lhs == bits[:, rc]
-
-        # Forced completion: activity, transitions, energy, uncovered.
-        y = np.zeros((len(codes), n, T), dtype=bool)
-        for (i, t), cols in act_cols.items():
-            if cols:
-                y[:, i, t] = bits[:, cols].any(axis=1)
-        w = np.zeros_like(y)
-        w[:, :, 0] = y[:, :, 0]
-        if T > 1:
-            w[:, :, 1:] = y[:, :, 1:] & ~y[:, :, :-1]
-        obj = np.zeros(len(codes), dtype=np.float64)
+        # Completion: activity, switch-ons, energy and its battery (C10), cover.
+        feas = np.ones(len(codes), dtype=bool)
+        obj = np.zeros(len(codes))
         for i in range(n):
-            e_i = tables.em * y[:, i, :].sum(axis=1) + tables.ea * w[:, i, :].sum(axis=1)
-            cmap = energy_coef[i]
-            if cmap:
-                cols = sorted(cmap)
-                coefs = np.array([cmap[c] for c in cols])
-                e_i = e_i + bits[:, cols].astype(np.float64) @ coefs
-            feas &= e_i <= tables.eb + BATTERY_TOL  # C10
-            obj += e_i
-        for key, cols in cover_cols.items():
-            covered = (bits[:, cols].any(axis=1) if cols
-                       else np.zeros(len(codes), dtype=bool))
-            obj += tables.eh * (~covered)
-        if r_cols_all and tables.eg:
-            obj += tables.eg * bits[:, r_cols_all].sum(axis=1)
+            active = starts = prev = 0
+            for t in range(s.T):
+                cur = 0
+                for c in on.get((i, t), ()):
+                    cur = cur | bits[c]
+                active = active + cur
+                starts = starts + (cur > prev)
+                prev = cur
+            e = tb.em * active + tb.ea * starts + sum(k * bits[c] for c, k in coef[i])
+            feas &= e <= tb.eb + BATTERY_TOL
+            obj += e
+        for key in s.demanded:
+            covered = 0
+            for c in covers[key]:
+                covered = covered | bits[c]
+            obj += tb.eh * (covered == 0)
+        obj += tb.eg * sum(bits[c] for c in sensing)
 
         obj[~feas] = math.inf
         k = int(np.argmin(obj))
@@ -763,44 +720,19 @@ def brute_force_oracle(
             best_obj = float(obj[k])
             best_code = int(codes[k])
 
-    assert best_code is not None  # the all-zero assignment is always feasible
-
-    # Rebuild the winner in exact scalar arithmetic.
-    best = [(best_code >> (nf - 1 - k)) & 1 for k in range(nf)]
-    values = {ref: 1 for ref, bit in zip(free, best) if bit}
-    y_set = set()
-    for (i, t), cols in act_cols.items():
-        if any(best[c] for c in cols):
-            y_set.add((i, t))
-            values[VarRef("y", (i, t))] = 1
-    objective = 0.0
-    for i in range(n):
-        energy = 0.0
-        prev = False
-        for t in range(T):
-            cur = (i, t) in y_set
-            if cur:
-                energy += tables.em
-                if not prev:
-                    values[VarRef("w", (i, t))] = 1
-                    energy += tables.ea
-            prev = cur
-        for c, coef in sorted(energy_coef[i].items()):
-            if best[c]:
-                energy += coef
-        if energy:
-            values[VarRef("e", (i,))] = energy
-        objective += energy
-    for (j, t, g), cols in cover_cols.items():
-        if not any(best[c] for c in cols):
-            values[VarRef("h", (j, t, g))] = 1
-            objective += tables.eh
-    for ref, bit in zip(free, best):
-        if ref.kind == "r" and bit:
-            objective += tables.eg
-
-    return Solution(values=values, provenance="oracle",
-                    wall_time_s=time.perf_counter() - t0, objective=objective)
+    r_set, flows = set(), {}
+    for c, ref in enumerate(free):
+        if best_code >> (nf - 1 - c) & 1:
+            if ref.kind == "r":
+                r_set.add(ref.indices)
+            else:
+                l, a, b, t, g = ref.indices
+                flows.setdefault((l, t, g), []).append((a, b))
+    solution = _assemble(s, r_set, flows, "oracle", t0)
+    if not math.isclose(solution.objective, best_obj, rel_tol=1e-9):
+        raise AssertionError(f"assembled objective {solution.objective} differs "
+                             f"from the enumerated optimum {best_obj}")
+    return solution
 
 
 # -- greedy heuristic -------------------------------------------------------------

@@ -295,6 +295,32 @@ def test_oracle_cap_is_enforced():
         w.brute_force_oracle(small, small_arcs, cap=1)
 
 
+def test_oracle_refuses_before_building_anything(monkeypatch):
+    inst = w.scenario_instance("bench2", kind="grid", periods=3)
+    arcs = w.build_arcs(inst)
+
+    def refuse(*args):
+        raise AssertionError("the oracle built the variable universe")
+
+    monkeypatch.setattr("wsnsched.solve.variable_universe", refuse)
+    with pytest.raises(OracleCapExceeded, match="oracle cap is 40"):
+        w.brute_force_oracle(inst, arcs)
+
+
+def test_oracle_memory_stays_small():
+    import tracemalloc
+
+    inst, arcs = tiny_instance(7)
+    w.brute_force_oracle(inst, arcs)  # fill the arcs' cached tables first
+    tracemalloc.start()
+    try:
+        w.brute_force_oracle(inst, arcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # 9.97 MB when the oracle enumerated x too
+
+
 def test_solution_json_roundtrip(tmp_path):
     inst, arcs = tiny_instance(5)
     solution, _ = w.solve_exact(inst, arcs)
