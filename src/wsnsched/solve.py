@@ -1,6 +1,7 @@
 """Solvers for the scheduling ILP.
 
-Three methods with very different trust stories:
+Three methods with very different trust stories.  Each yields a schedule,
+the arcs of each sensing triple's stream by triple, for :func:`_assemble`:
 
 * :func:`brute_force_oracle` enumerates every assignment of the routing
   and sensing binaries (z, r) outright, and completes its winner with the
@@ -336,25 +337,16 @@ class _ExactSearch:
         self.open_count = [len(q) for q in self.covers]  # in r_list order
         self.ones: list[tuple[int, int, int]] = []  # the triples decided 1, in order
         # Incumbent: the all-off schedule, always feasible.
-        self._incumbent(self.eh * len(s.demanded), (), {})
+        self._incumbent(self.eh * len(s.demanded), {})
         self.nodes = 0
         self.truncated = False
         self.deadline = time.perf_counter() + config.time_limit_s
         self._flow_cache: dict[tuple[int, int], tuple[list[_Flow], bool]] = {}
-        # routing-phase state
-        self.en = [0.0] * s.n
-        self.y_state: set[tuple[int, int]] = set()
-        self.on0 = 0  # pairs in y_state with period 0
-        self.active: tuple[tuple[int, int, int], ...] = ()
-        self.remaining: list[float | None] = []  # route_lb summed over active[q:]
-        self.obj_base = 0.0
-        self.flow_choice: dict = {}
 
-    def _incumbent(self, obj: float, r: tuple[tuple[int, int, int], ...], flows: dict):
-        """Take (obj, r, flows) as the best schedule so far; a node is
-        pruned once its bound reaches ``cutoff``."""
+    def _incumbent(self, obj: float, flows: dict):
+        """Take (obj, flows) as the best schedule so far; a node is pruned
+        once its bound reaches ``cutoff``."""
         self.best_obj = obj
-        self.best_r = r
         self.best_flows = flows
         self.cutoff = obj - max(1e-12, self.cfg.gap * abs(obj))
 
@@ -480,15 +472,14 @@ class _ExactSearch:
     # -- routing phase --
 
     def _start_routing(self, on0: int):
-        """Route the decided-1 triples; ``on0`` counts their period-0 pairs."""
-        self.active = tuple(self.ones)
-        # Filled by _branch_flows as it first reaches each depth: most
-        # routing starts are pruned at depth 0.
-        self.remaining = [None] * (len(self.active) + 1)
-        self.obj_base = self.eh * len(self.open) + self.eg * len(self.active)
-        self.y_state = {(i, t) for (i, t, _) in self.active}
-        self.on0 = on0
-        self.en = [0.0] * self.s.n
+        """Route ``ones``, the decided-1 triples; ``on0`` counts their period-0 pairs."""
+        # route_lb summed over ones[q:], filled by _branch_flows as it first
+        # reaches each depth q: most routing starts are pruned at depth 0.
+        self.remaining: list[float | None] = [None] * (len(self.ones) + 1)
+        self.obj_base = self.eh * len(self.open) + self.eg * len(self.ones)
+        self.y_state = {(i, t) for (i, t, _) in self.ones}  # active (sensor, period) pairs
+        self.on0 = on0  # pairs in y_state with period 0
+        self.en = [0.0] * self.s.n  # each sensor's energy so far
         for (i, _) in self.y_state:
             self.en[i] += self.em
         self.flow_choice = {}
@@ -501,14 +492,14 @@ class _ExactSearch:
             # Each suffix is summed left to right from its own start; a
             # running total taken from the end would round differently.
             remaining = self.remaining[q] = sum(
-                self.route_lb[(l, g)] for (l, _, g) in self.active[q:])
+                self.route_lb[(l, g)] for (l, _, g) in self.ones[q:])
         base = sum(self.en) + self.ea * self.on0 + self.obj_base
         if base + remaining >= self.cutoff:
             return
-        if q == len(self.active):
+        if q == len(self.ones):
             self._leaf()
             return
-        l, t, g = self.active[q]
+        l, t, g = self.ones[q]
         flows, complete = self.flows_for(l, g)
         if not complete:
             self.truncated = True
@@ -566,7 +557,7 @@ class _ExactSearch:
                 return
             total += ei
         if total < self.best_obj - 1e-12:
-            self._incumbent(total, self.active, dict(self.flow_choice))
+            self._incumbent(total, dict(self.flow_choice))
 
 
 def solve_exact(
@@ -597,10 +588,10 @@ def solve_exact(
     certificate = search.run()
     s = search.s
     if certificate:
-        solution = _assemble(s, search.best_r, search.best_flows, "exact", t0)
+        solution = _assemble(s, search.best_flows, "exact", t0)
     else:
-        solution = _assemble(s, *_polish(s, search.best_r, search.best_flows), "exact", t0)
-        greedy = _assemble(s, *_polish(s, *_greedy(s)), "exact", t0)
+        solution = _assemble(s, _polish(s, search.best_flows), "exact", t0)
+        greedy = _assemble(s, _polish(s, _greedy(s)), "exact", t0)
         if greedy.objective < solution.objective:
             solution = greedy
     return replace(solution, wall_time_s=time.perf_counter() - t0), certificate
@@ -628,9 +619,12 @@ def brute_force_oracle(
     result is optimal only among schedules with minimal activity.  Ties go
     to the smallest (z, r) assignment in model variable order.
 
-    The winner is completed by :func:`_assemble`, as the other solvers'
-    schedules are, and an AssertionError is raised when the completed
-    objective differs from the enumeration's by more than 1e-9 relative.
+    The winner's streams, read off its z bits, are completed by
+    :func:`_assemble` as the other solvers' schedules are, and an
+    AssertionError is raised when the completed objective differs from the
+    enumeration's by more than 1e-9 relative.  A stream whose source does
+    not sense, a cycle, would fail that check; it pays only where an idle
+    period can (above), and the smallest such case known has 63 columns.
 
     Raises :class:`OracleCapExceeded` when the model has more than ``cap``
     binary variables (enumeration time grows as 2^free).
@@ -720,15 +714,12 @@ def brute_force_oracle(
             best_obj = float(obj[k])
             best_code = int(codes[k])
 
-    r_set, flows = set(), {}
+    flows = {}
     for c, ref in enumerate(free):
-        if best_code >> (nf - 1 - c) & 1:
-            if ref.kind == "r":
-                r_set.add(ref.indices)
-            else:
-                l, a, b, t, g = ref.indices
-                flows.setdefault((l, t, g), []).append((a, b))
-    solution = _assemble(s, r_set, flows, "oracle", t0)
+        if ref.kind == "z" and best_code >> (nf - 1 - c) & 1:
+            l, a, b, t, g = ref.indices
+            flows.setdefault((l, t, g), []).append((a, b))
+    solution = _assemble(s, flows, "oracle", t0)
     if not math.isclose(solution.objective, best_obj, rel_tol=1e-9):
         raise AssertionError(f"assembled objective {solution.objective} differs "
                              f"from the enumerated optimum {best_obj}")
@@ -767,17 +758,16 @@ def solve_heuristic(instance: Instance, arcs: ArcSets | None = None) -> Solution
     arcs = arcs_for(instance, arcs)
     t0 = time.perf_counter()
     s = _Structures(instance, arcs)
-    return _assemble(s, *_polish(s, *_greedy(s)), "heuristic", t0)
+    return _assemble(s, _polish(s, _greedy(s)), "heuristic", t0)
 
 
 def _greedy(s: _Structures):
-    """The schedule :func:`solve_heuristic` describes, as (r_set, flows)."""
+    """The schedule :func:`solve_heuristic` describes, before polishing."""
     instance, tb = s.instance, s.tables
     n, T, G = s.n, s.T, s.G
 
     residual = [tb.eb] * n
     y = [[False] * T for _ in range(n)]
-    r_set: set[tuple[int, int, int]] = set()
     flows: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
 
     def surcharge(v: int, t: int) -> float:
@@ -823,7 +813,7 @@ def _greedy(s: _Structures):
                 lower = _route_costs(s, g, enter)
                 priced = []
                 for i in range(n):
-                    if (i, t, g) in r_set or (i, g) not in s.sensor_cover:
+                    if (i, t, g) in flows or (i, g) not in s.sensor_cover:
                         continue
                     newly = [j for j in s.sensor_cover[(i, g)] if j in open_points]
                     if newly and lower[i] < math.inf:
@@ -852,20 +842,18 @@ def _greedy(s: _Structures):
                 if best is None:
                     break  # leftovers take the penalty via h
                 _, i, newly, arcs_p, deltas, own = best
-                r_set.add((i, t, g))
                 flows[(i, t, g)] = arcs_p
                 y[i][t] = True
                 residual[i] -= own
                 for v, delta in sorted(deltas.items()):
-                    if v != i:
-                        y[v][t] = True
+                    y[v][t] = True
                     residual[v] -= delta
                 for j in newly:
                     open_points.discard(j)
-    return r_set, flows
+    return flows
 
 
-def _polish(s: _Structures, r_set, flows):
+def _polish(s: _Structures, flows):
     """Drop the sensing that other sensors' sensing makes redundant.
 
     A best-first reverse delete, the redundancy elimination of connected
@@ -882,11 +870,10 @@ def _polish(s: _Structures, r_set, flows):
     Savings are priced from counts kept beside the schedule: the sensing
     triples that cover each demand triple, the uses (sensing, or an end of
     a stream arc) that keep each pair on, and each sensor's energy.
-    Returns a new (r_set, flows); every demand triple stays covered.
+    Returns a new schedule; every demand triple stays covered.
     """
     tb = s.tables
     n, T = s.n, s.T
-    r_set = set(r_set)
     flows = dict(flows)
     cover: dict[tuple[int, int, int], int] = {}
     uses: dict[tuple[int, int], int] = {}
@@ -901,7 +888,7 @@ def _polish(s: _Structures, r_set, flows):
             if b < n:
                 uses[(b, t)] = uses.get((b, t), 0) + step
 
-    for key in sorted(r_set):
+    for key in sorted(flows):
         count(key, 1)
     energy = _energies(s, [[uses.get((v, t), 0) > 0 for t in range(T)]
                            for v in range(n)], flows)
@@ -936,7 +923,7 @@ def _polish(s: _Structures, r_set, flows):
 
     while True:
         best = None
-        for key in sorted(r_set):
+        for key in sorted(flows):
             i, t, g = key
             if any(cover[(j, t, g)] < 2 for j in s.sensor_cover.get((i, g), ())):
                 continue
@@ -944,10 +931,9 @@ def _polish(s: _Structures, r_set, flows):
             if priced is not None and priced[0] > (0.0 if best is None else best[0]):
                 best = (priced[0], key, priced[1])
         if best is None:
-            return r_set, flows
+            return flows
         _, key, change = best
         count(key, -1)
-        r_set.discard(key)
         del flows[key]
         for v, c in change.items():
             energy[v] += c
@@ -956,11 +942,11 @@ def _polish(s: _Structures, r_set, flows):
 # -- schedule assembly ------------------------------------------------------------
 
 
-def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solution:
+def _assemble(s: _Structures, flows, provenance: str, t0: float) -> Solution:
     """Complete a schedule into its nonzero assignment.
 
-    ``r_set`` holds the sensing triples (i, t, g) and ``flows`` maps each
-    of them to the arcs of its stream.  The rest follows: x from coverage,
+    ``flows``, the schedule, maps each sensing triple (i, t, g) to the arcs
+    of its stream: a key sets r, and x from coverage; its arcs set z.  Then
     y wherever a sensor senses or carries a stream, w at each start of
     activity, h for every demanded triple left uncovered, and e accounted
     exactly as the energy constraint does.  ``t0`` is the solve's start.
@@ -970,15 +956,14 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
     values = {}
     y = [[False] * T for _ in range(n)]
     covered = set()  # (j, t, g) with some x set
-    for (i, t, g) in r_set:
+    for (i, t, g), path in flows.items():
         values[VarRef("r", (i, t, g))] = 1
         y[i][t] = True
         for j in s.coverage.get((i, g), ()):
             values[VarRef("x", (i, j, t, g))] = 1
             covered.add((j, t, g))
-    for (l, t, g), path in flows.items():
         for (a, b) in path:
-            values[VarRef("z", (l, a, b, t, g))] = 1
+            values[VarRef("z", (i, a, b, t, g))] = 1
             y[a][t] = True
             if b < n:
                 y[b][t] = True
@@ -1001,7 +986,7 @@ def _assemble(s: _Structures, r_set, flows, provenance: str, t0: float) -> Solut
         if key not in covered:
             values[VarRef("h", key)] = 1
             objective += tb.eh
-    objective += tb.eg * len(r_set)
+    objective += tb.eg * len(flows)
     return Solution(values=values, provenance=provenance,
                     wall_time_s=time.perf_counter() - t0, objective=objective)
 
@@ -1070,29 +1055,47 @@ def _json_number(what: str, val):
     return val
 
 
+def _nonzero(instance: Instance, arcs, what: str, pairs) -> dict:
+    """The nonzero values of a solution file's (VarRef, number) ``pairs``, each
+    a variable of the instance's model; binaries are snapped by :func:`_snap`."""
+    member = _Universe(instance, arcs_for(instance, arcs)).member
+    values = {}
+    for ref, val in pairs:
+        if not member[ref.kind](ref.indices):
+            raise ValueError(f"{what} {ref.name} does not belong to this instance")
+        val = _snap(ref, val)
+        if val:
+            values[ref] = val
+    return values
+
+
+def _json_object(pairs) -> dict:
+    """A JSON object as a dict; a key it repeats is an error."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"solution file repeats the key {key!r}")
+    return out
+
+
 def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solution:
     """Load a solution JSON; variables the file omits, or sets to 0, are 0.
 
     Every value must be a JSON number; binaries are snapped by :func:`_snap`.
+    A key repeated in any object is an error.
     """
-    member = _Universe(instance, arcs_for(instance, arcs)).member
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_json_object)
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != SOLUTION_FORMAT:
         raise ValueError(f"unsupported solution format {fmt!r}")
     if not isinstance(data.get("values"), dict):
         raise ValueError("solution file has no 'values' object")
-    values = {}
-    for name, val in data["values"].items():
-        ref = parse_var_name(name)
-        if not member[ref.kind](ref.indices):
-            raise ValueError(f"solution variable {name} does not belong to this instance")
-        val = _snap(ref, _json_number(f"solution variable {name}", val))
-        if val:
-            values[ref] = val
+    pairs = ((parse_var_name(name), _json_number(f"solution variable {name}", val))
+             for name, val in data["values"].items())
     return Solution(
-        values=values,
+        values=_nonzero(instance, arcs, "solution variable", pairs),
         provenance=data.get("provenance", "external"),
         wall_time_s=float(_json_number("wall_time_s", data.get("wall_time_s", 0.0))),
         objective=data.get("objective"),
@@ -1102,10 +1105,12 @@ def load_solution(path, instance: Instance, arcs: ArcSets | None = None) -> Solu
 def parse_external_solution(text: str) -> dict[VarRef, float]:
     """Parse ``name = value`` lines as emitted by LP solvers.
 
-    Blank lines and ``#`` comments are skipped; malformed names or values
-    are an error.  Variables not mentioned default to 0 at import time.
+    Blank lines and ``#`` comments are skipped; malformed names or values,
+    and a variable set on two lines, are an error.  Variables not mentioned
+    default to 0 at import time.
     """
     out: dict[VarRef, float] = {}
+    first: dict[VarRef, int] = {}  # the line that set each variable
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1121,6 +1126,9 @@ def parse_external_solution(text: str) -> dict[VarRef, float]:
             number = float(val.strip())
         except ValueError:
             raise ValueError(f"line {lineno}: malformed value {val.strip()!r}")
+        if ref in first:
+            raise ValueError(f"line {lineno}: {ref.name} was already set on line {first[ref]}")
+        first[ref] = lineno
         out[ref] = number
     return out
 
@@ -1130,14 +1138,7 @@ def load_external_solution(path, instance: Instance, arcs: ArcSets | None = None
 
     Binary values are snapped to integers by :func:`_snap`.
     """
-    member = _Universe(instance, arcs_for(instance, arcs)).member
     with open(path, "r", encoding="utf-8") as fh:
         parsed = parse_external_solution(fh.read())
-    values = {}
-    for ref, val in parsed.items():
-        if not member[ref.kind](ref.indices):
-            raise ValueError(f"variable {ref.name} does not belong to this instance")
-        val = _snap(ref, val)
-        if val:
-            values[ref] = val
+    values = _nonzero(instance, arcs, "variable", parsed.items())
     return Solution(values=values, provenance="external", wall_time_s=0.0)

@@ -286,5 +286,4 @@ def solve_exact(
     t0 = time.perf_counter()
     search = _ExactSearch(instance, arcs, config or SolveConfig())
     certificate = search.run()
-    r_set = {key for key, val in search.best_r.items() if val}
-    return _assemble(search.s, r_set, search.best_flows, "exact", t0), certificate
+    return _assemble(search.s, search.best_flows, "exact", t0), certificate

@@ -168,4 +168,4 @@ def solve_heuristic(
                 for j in newly:
                     open_points.discard(j)
 
-    return _assemble(s, r_set, flows, "heuristic", t0)
+    return _assemble(s, flows, "heuristic", t0)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from wsnsched.solve import BATTERY_TOL, _assemble, _charges, _Structures
 
 
-def _read(s: _Structures, r_set, flows):
+def _read(s: _Structures, flows):
     """(active pairs, switch-ons, uncovered triples, energies) of a schedule."""
-    values = _assemble(s, r_set, flows, "reference", 0.0).values
+    values = _assemble(s, flows, "reference", 0.0).values
     kinds = {"y": set(), "w": set(), "h": set()}
     energy = [0.0] * s.n
     for ref in values:
@@ -28,19 +28,17 @@ def _read(s: _Structures, r_set, flows):
     return kinds["y"], kinds["w"], kinds["h"], energy
 
 
-def polish(s: _Structures, r_set, flows):
-    """Drop redundant sensing while a drop saves; returns (r_set, flows)."""
+def polish(s: _Structures, flows):
+    """Drop redundant sensing while a drop saves; returns the schedule."""
     tb = s.tables
     cap = tb.eb + BATTERY_TOL
-    r_set = set(r_set)
     flows = dict(flows)
     while True:
-        y, w, h, energy = _read(s, r_set, flows)
+        y, w, h, energy = _read(s, flows)
         best = None
-        for key in sorted(r_set):
-            rest = r_set - {key}
+        for key in sorted(flows):
             rest_flows = {k: v for k, v in flows.items() if k != key}
-            y2, w2, h2, energy2 = _read(s, rest, rest_flows)
+            y2, w2, h2, energy2 = _read(s, rest_flows)
             if h2 != h:
                 continue  # the drop uncovers a demanded point
             if any(e2 > cap and e2 > e for e, e2 in zip(energy, energy2)):
@@ -51,6 +49,5 @@ def polish(s: _Structures, r_set, flows):
             if saving > 0 and (best is None or saving > best[0]):
                 best = (saving, key)
         if best is None:
-            return r_set, flows
-        r_set.discard(best[1])
+            return flows
         flows.pop(best[1], None)

@@ -279,7 +279,7 @@ def test_polish_never_worse_than_construction():
         instances.append((layout, inst, w.build_arcs(inst)))
     for label, inst, arcs in instances:
         s = _Structures(inst, arcs)
-        construction = _assemble(s, *_greedy(s), "heuristic", 0.0)
+        construction = _assemble(s, _greedy(s), "heuristic", 0.0)
         polished = w.solve_heuristic(inst, arcs)
         assert (w.evaluate(inst, polished, arcs).objective
                 <= w.evaluate(inst, construction, arcs).objective), label

@@ -404,6 +404,44 @@ def test_validate_unknown_variable_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _heuristic_schedule(tmp_path):
+    """A small instance's path, and its heuristic solution's values by
+    name, with the name of a coverage variable the schedule sets to 1."""
+    inst_path = _gen_small(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst_path), "--method", "heuristic",
+                 "--out", str(sol_path)]) == 0
+    values = json.loads(sol_path.read_text())["values"]
+    return inst_path, values, next(name for name in values if name.startswith("x_"))
+
+
+def test_validate_variable_named_twice_exits_2(tmp_path, capsys):
+    # json.load keeps the last of two equal keys: x would read as 0.
+    inst_path, values, name = _heuristic_schedule(tmp_path)
+    pairs = [*values.items(), (name, 0)]
+    body = ", ".join(f"{json.dumps(key)}: {json.dumps(val)}" for key, val in pairs)
+    sol_path = tmp_path / "twice.json"
+    sol_path.write_text(f'{{"format": "wsn-solution/1", "values": {{{body}}}}}')
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path), "--solution", str(sol_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: solution file repeats the key {name!r}\n"
+
+
+def test_validate_external_variable_set_twice_exits_2(tmp_path, capsys):
+    inst_path, values, name = _heuristic_schedule(tmp_path)
+    lines = [f"{key} = {val}" for key, val in values.items()]
+    first = lines.index(f"{name} = 1") + 1
+    ext_path = tmp_path / "twice.sol"
+    ext_path.write_text("\n".join(lines + [f"{name} = 0"]) + "\n")
+    capsys.readouterr()
+    rc = main(["validate", "--instance", str(inst_path),
+               "--solution", str(ext_path), "--external"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines) + 1}: {name} was already set on line {first}\n")
+
+
 def test_validate_external_format(tmp_path, capsys):
     inst_path = _gen_small(tmp_path)
     sol_path = tmp_path / "sol.json"

@@ -36,7 +36,7 @@ import pytest
 import wsnsched as w
 from wsnsched.solve import (_assemble, _ExactSearch, _polish, _route_costs, _Structures,
                             solution_to_json)
-from helpers import distance_grid, tiny_instance
+from helpers import SENSING_SEEDS, distance_grid, tiny_instance
 import reference_exact as ref
 
 
@@ -54,14 +54,13 @@ def _assert_same(inst, arcs, node_limit=0):
     for field in ("best_obj", "best_flows", "nodes"):
         assert getattr(got_search, field) == getattr(want_search, field), field
     # The package keeps only the triples decided 1; the reference, every decision.
-    assert set(got_search.best_r) == {key for key, val in want_search.best_r.items() if val}
+    assert set(got_search.best_flows) == {key for key, val in want_search.best_r.items() if val}
 
     got, got_cert = w.solve_exact(inst, arcs, config=config)
     want, want_cert = ref.solve_exact(inst, arcs, config=config)
     if not want_cert:
-        r_set = {key for key, val in want_search.best_r.items() if val}
-        polished = _polish(want_search.s, r_set, want_search.best_flows)
-        want = _assemble(want_search.s, *polished, "exact", 0.0)
+        polished = _polish(want_search.s, want_search.best_flows)
+        want = _assemble(want_search.s, polished, "exact", 0.0)
         greedy = w.solve_heuristic(inst, arcs)
         if greedy.objective < want.objective:
             want = dataclasses.replace(greedy, provenance="exact")
@@ -91,13 +90,6 @@ def test_exact_matches_reference_over_two_periods():
 def test_exact_matches_reference_over_three_periods():
     inst = w.scenario_instance("default", kind="random", periods=3, seed=1)
     _assert_same(inst, w.build_arcs(inst), 5000)
-
-
-# The tiny_instance seeds in 50-199 whose oracle optimum senses at least
-# one triple; in the rest the all-penalty schedule is optimal.
-SENSING_SEEDS = [55, 56, 62, 66, 71, 76, 78, 80, 84, 86, 87, 89, 97, 102, 106, 109,
-                 110, 115, 116, 128, 132, 133, 137, 143, 144, 145, 146, 148, 155,
-                 159, 160, 167, 178, 180, 186, 188, 190, 191, 194, 196]
 
 
 @pytest.mark.parametrize("seed", SENSING_SEEDS)

@@ -33,7 +33,7 @@ def _text(solution):
 def _assert_same(inst, arcs):
     s = _Structures(inst, arcs)
     want = ref.solve_heuristic(inst, arcs)
-    assert _text(_assemble(s, *_greedy(s), "heuristic", 0.0)) == _text(want)
+    assert _text(_assemble(s, _greedy(s), "heuristic", 0.0)) == _text(want)
 
 
 @pytest.mark.parametrize("layout", HEURISTIC_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
@@ -69,5 +69,5 @@ def test_heuristic_matches_reference_on_rounding_tie():
     enter = [s.tables.er[0] + s.tables.em] * s.n  # period 1: every sensor was on in 0
     assert _route_costs(s, 0, enter)[1] > _route(s, 1, 0, enter)[1]
     _assert_same(inst, arcs)
-    r = _greedy(s)[0]
+    r = _greedy(s)
     assert (1, 1, 0) in r and (0, 1, 0) not in r

@@ -59,7 +59,7 @@ def _assert_same(inst, arcs=None):
 
 
 # Seeds 0-199 include the 40 whose optimum senses something
-# (``test_exact_reference.SENSING_SEEDS``).
+# (``helpers.SENSING_SEEDS``).
 @pytest.mark.parametrize("seed", range(200))
 def test_oracle_matches_reference_on_tiny_instances(seed):
     _assert_same(*tiny_instance(seed))

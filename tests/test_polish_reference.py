@@ -21,7 +21,7 @@ import pytest
 
 import wsnsched as w
 from wsnsched.solve import _assemble, _ExactSearch, _greedy, _polish, _Structures, solution_to_json
-from helpers import HEURISTIC_LAYOUTS, make_instance, tiny_instance
+from helpers import HEURISTIC_LAYOUTS, SENSING_SEEDS, make_instance, tiny_instance
 import reference_polish as ref
 
 
@@ -29,15 +29,14 @@ def _uncovered(solution):
     return {key.indices for key in solution.values if key.kind == "h"}
 
 
-def _assert_same(inst, arcs, r_set, flows):
-    """Polish (r_set, flows) both ways; returns the package's result."""
+def _assert_same(inst, arcs, flows):
+    """Polish the schedule ``flows`` both ways; returns the package's result."""
     s = _Structures(inst, arcs)
-    got = _polish(s, r_set, flows)
-    want = ref.polish(s, r_set, flows)
-    assert got[0] == want[0]
-    assert list(got[1].items()) == list(want[1].items())
-    before = _assemble(s, r_set, flows, "test", 0.0)
-    after = _assemble(s, *got, "test", 0.0)
+    got = _polish(s, flows)
+    want = ref.polish(s, flows)
+    assert list(got.items()) == list(want.items())
+    before = _assemble(s, flows, "test", 0.0)
+    after = _assemble(s, got, "test", 0.0)
     assert w.check_feasibility(inst, arcs, after) == []
     assert after.objective <= before.objective
     assert _uncovered(after) == _uncovered(before)
@@ -48,7 +47,7 @@ def _incumbent(inst, arcs, node_limit):
     search = _ExactSearch(inst, arcs, w.SolveConfig(time_limit_s=math.inf,
                                                     node_limit=node_limit))
     search.run()
-    return set(search.best_r), search.best_flows
+    return search.best_flows
 
 
 def _text(solution):
@@ -64,8 +63,8 @@ def test_polish_matches_reference_on_layouts(layout):
     arcs = w.build_arcs(inst)
     s = _Structures(inst, arcs)
     construction = _greedy(s)
-    _assert_same(inst, arcs, *construction)
-    polished = _assemble(s, *ref.polish(s, *construction), "heuristic", 0.0)
+    _assert_same(inst, arcs, construction)
+    polished = _assemble(s, ref.polish(s, construction), "heuristic", 0.0)
     assert _text(w.solve_heuristic(inst, arcs)) == _text(polished)
 
 
@@ -75,14 +74,14 @@ def test_polish_matches_reference_on_layouts(layout):
 def test_polish_matches_reference_on_exact_incumbents(seed, nodes):
     inst = w.scenario_instance("default", kind="random", periods=1, seed=seed)
     arcs = w.build_arcs(inst)
-    _assert_same(inst, arcs, *_incumbent(inst, arcs, nodes))
+    _assert_same(inst, arcs, _incumbent(inst, arcs, nodes))
 
 
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", [*range(50), *SENSING_SEEDS])
 def test_polish_matches_reference_on_tiny(seed):
     inst, arcs = tiny_instance(seed)
-    _assert_same(inst, arcs, *_greedy(_Structures(inst, arcs)))
-    _assert_same(inst, arcs, *_incumbent(inst, arcs, 0))
+    _assert_same(inst, arcs, _greedy(_Structures(inst, arcs)))
+    _assert_same(inst, arcs, _incumbent(inst, arcs, 0))
 
 
 def _relay_switch(battery, activation=1.5, early=False):
@@ -106,7 +105,7 @@ def _relay_switch(battery, activation=1.5, early=False):
              (2, 1, 0): ((2, sink),), (1, 2, 0): ((1, sink),)}
     if early:
         flows[(0, 0, 0)] = ((0, 1), (1, sink))
-    return inst, w.build_arcs(inst), set(flows), flows
+    return inst, w.build_arcs(inst), flows
 
 
 def _energy(solution, i):
@@ -114,34 +113,34 @@ def _energy(solution, i):
 
 
 def test_polish_drop_creates_a_switch_on():
-    inst, arcs, r_set, flows = _relay_switch(battery=6.0)
+    inst, arcs, flows = _relay_switch(battery=6.0)
     s = _Structures(inst, arcs)
-    before = _assemble(s, r_set, flows, "test", 0.0)
+    before = _assemble(s, flows, "test", 0.0)
     assert w.check_feasibility(inst, arcs, before) == []
-    got = _assert_same(inst, arcs, r_set, flows)
-    assert got[0] == r_set - {(0, 1, 0)}
-    after = _assemble(s, *got, "test", 0.0)
+    got = _assert_same(inst, arcs, flows)
+    assert set(got) == set(flows) - {(0, 1, 0)}
+    after = _assemble(s, got, "test", 0.0)
     assert w.VarRef("w", (1, 2)) in after.values
     assert w.VarRef("w", (1, 2)) not in before.values
     assert _energy(after, 1) > _energy(before, 1)  # the switch-on costs more than it saves
 
 
 def test_polish_refuses_a_drop_that_overdraws_a_relay():
-    inst, arcs, r_set, flows = _relay_switch(battery=4.8)
+    inst, arcs, flows = _relay_switch(battery=4.8)
     s = _Structures(inst, arcs)
-    assert w.check_feasibility(inst, arcs, _assemble(s, r_set, flows, "test", 0.0)) == []
+    assert w.check_feasibility(inst, arcs, _assemble(s, flows, "test", 0.0)) == []
     dropped = {key: path for key, path in flows.items() if key != (0, 1, 0)}
-    overdrawn = _assemble(s, set(dropped), dropped, "test", 0.0)
+    overdrawn = _assemble(s, dropped, "test", 0.0)
     assert _energy(overdrawn, 1) > s.tables.eb + 1e-6
-    got = _assert_same(inst, arcs, r_set, flows)
-    assert got == (r_set, flows)
+    got = _assert_same(inst, arcs, flows)
+    assert got == flows
 
 
 def test_polish_keeps_a_drop_whose_switch_on_costs_more():
     # Dropping sensor 0's period-1 sensing saves its stream, the penalty
     # and two periods of maintenance (2.21), but sensor 1 must then switch
     # on again in period 2 for 3.0.
-    inst, arcs, r_set, flows = _relay_switch(battery=10.0, activation=3.0, early=True)
+    inst, arcs, flows = _relay_switch(battery=10.0, activation=3.0, early=True)
     s = _Structures(inst, arcs)
-    assert w.check_feasibility(inst, arcs, _assemble(s, r_set, flows, "test", 0.0)) == []
-    assert _assert_same(inst, arcs, r_set, flows) == (r_set, flows)
+    assert w.check_feasibility(inst, arcs, _assemble(s, flows, "test", 0.0)) == []
+    assert _assert_same(inst, arcs, flows) == flows

@@ -20,6 +20,7 @@ from wsnsched.solve import (
 )
 from helpers import (
     POOL_LAYOUTS,
+    SENSING_SEEDS,
     make_instance,
     relay_chain,
     tiny_instance,
@@ -159,7 +160,7 @@ def test_budgeted_exact_never_returns_all_penalty_below_the_greedy():
     inst = w.gen_grid(5, 5, 3, 3, config=w.ScenarioConfig(periods=2, device=device))
     arcs = w.build_arcs(inst)
     s = _Structures(inst, arcs)
-    assert _assemble(s, *_greedy(s), "heuristic", 0.0).objective == pytest.approx(
+    assert _assemble(s, _greedy(s), "heuristic", 0.0).objective == pytest.approx(
         22.49, rel=1e-12)
     heuristic = w.solve_heuristic(inst, arcs)  # the greedy, polished
     assert heuristic.objective == pytest.approx(22.18, rel=1e-12)
@@ -602,20 +603,30 @@ def _derived_binaries(s, r_set, flows) -> set:
     return out
 
 
-def _check_assembled(inst, arcs, node_limit):
+def _check_assembled(inst, arcs, node_limit, oracle=False):
     s = _Structures(inst, arcs)
-    search = _ExactSearch(inst, arcs, w.SolveConfig(time_limit_s=math.inf,
-                                                    node_limit=node_limit))
+    config = w.SolveConfig(time_limit_s=math.inf, node_limit=node_limit)
+    search = _ExactSearch(inst, arcs, config)
     search.run()
-    exact = (set(search.best_r), search.best_flows)
-    for r_set, flows in (_greedy(s), exact):
-        solution = _assemble(s, r_set, flows, "test", 0.0)
+    for flows in (_greedy(s), search.best_flows):
+        solution = _assemble(s, flows, "test", 0.0)
         got = {(ref.kind, ref.indices) for ref, val in solution.values.items()
                if ref.kind != "e"}
         assert all(val == 1 for ref, val in solution.values.items() if ref.kind != "e")
-        assert got == _derived_binaries(s, r_set, flows)
-    assert _assemble(s, *_polish(s, *_greedy(s)), "heuristic", 0.0).values == (
+        assert got == _derived_binaries(s, set(flows), flows)
+    assert _assemble(s, _polish(s, _greedy(s)), "heuristic", 0.0).values == (
         w.solve_heuristic(inst, arcs).values)
+    # Each solver's result has a stream for exactly its sensing triples.  The
+    # validator cannot tell: a cycle away from a source that does not sense
+    # passes C5 and C6.
+    solutions = [w.solve_heuristic(inst, arcs), w.solve_exact(inst, arcs, config=config)[0]]
+    if oracle:
+        solutions.append(w.brute_force_oracle(inst, arcs))
+    for solution in solutions:
+        sensing = {key for key, val in values_by_kind(solution, "r").items() if val}
+        streams = {(l, t, g) for (l, _, _, t, g), val in values_by_kind(solution, "z").items()
+                   if val}
+        assert streams == sensing, solution.provenance
 
 
 @pytest.mark.parametrize("layout", POOL_LAYOUTS, ids=lambda lay: "-".join(map(str, lay)))
@@ -623,6 +634,14 @@ def test_assemble_derives_binaries_from_the_schedule_on_pool(layout):
     scenario, kind, periods, seed = layout
     inst = w.scenario_instance(scenario, kind=kind, periods=periods, seed=seed)
     _check_assembled(inst, w.build_arcs(inst), 500)
+
+
+# The benchmark's exact_budget layouts (default random T=1, seeds 1-6, in
+# the pool above at 500 nodes) at its 5000-node budget.
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_assemble_derives_binaries_from_the_schedule_at_the_benchmark_budget(seed):
+    inst = w.scenario_instance("default", kind="random", periods=1, seed=seed)
+    _check_assembled(inst, w.build_arcs(inst), 5000)
 
 
 def test_assemble_derives_binaries_from_the_schedule_with_dropped_demand():
@@ -636,5 +655,5 @@ def test_assemble_derives_binaries_from_the_schedule_with_dropped_demand():
 
 
 def test_assemble_derives_binaries_from_the_schedule_on_tiny():
-    for seed in range(50):
-        _check_assembled(*tiny_instance(seed), 0)
+    for seed in [*range(50), *SENSING_SEEDS]:
+        _check_assembled(*tiny_instance(seed), 0, oracle=True)
